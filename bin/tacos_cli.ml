@@ -110,6 +110,17 @@ let with_setup topo_str alpha_us bw_gbps f =
   | Error e -> fail "%s" e
   | Ok topo -> f topo
 
+(* The topology, size and pattern arguments every synthesis command
+   shares, parsed in that order; the first error is the command's. *)
+let with_inputs topo_str alpha_us bw_gbps size_str pattern_str f =
+  with_setup topo_str alpha_us bw_gbps (fun topo ->
+      match Parse.parse_size size_str with
+      | Error e -> fail "%s" e
+      | Ok size -> (
+        match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
+        | Error e -> fail "%s" e
+        | Ok pattern -> f topo size pattern))
+
 (* --- synthesize ----------------------------------------------------------- *)
 
 let synthesize_cmd =
@@ -141,136 +152,121 @@ let synthesize_cmd =
           ~doc:"Print the lowered per-NPU send/recv program of $(docv).")
   in
   let run topo_str alpha bw size_str pattern_str chunks seed trials domains groups sketch_path ten events json svg program =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
+    with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
+        with_sketch sketch_path (fun sketch ->
+        let spec =
+          Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
+            ~npus:(Topology.num_npus topo) ()
+        in
+        let synthesize () =
+          match groups with
+          | Some _ when sketch <> None ->
+            Error "--sketch does not compose with --groups"
+          | Some gstr -> (
+            match parse_groups topo gstr with
+            | Error e -> Error ("--groups: " ^ e)
+            | Ok gs ->
+              let plan =
+                Tacos_groups.Plan.synthesize ~seed ~trials ~domains topo spec
+                  ~groups:gs
+              in
+              Ok (plan.Tacos_groups.Plan.result, Some plan))
+          | None ->
+            (* Compiling first surfaces a typed infeasibility (including
+               routed patterns) before any matching work. *)
+            let sketch = Option.map (Sketch.compile topo spec) sketch in
+            Ok
+              (Tacos.Router.dispatch ~seed ~trials ~domains ?sketch topo spec, None)
+        in
+        match synthesize () with
+        | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
+        | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
+        | exception Sketch.Infeasible off ->
+          fail "sketch infeasible: %s" (Sketch.offender_to_string off)
         | Error e -> fail "%s" e
-        | Ok size -> (
-          match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-          | Error e -> fail "%s" e
-          | Ok pattern ->
-            with_sketch sketch_path (fun sketch ->
-            let spec =
-              Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-                ~npus:(Topology.num_npus topo) ()
+        | Ok (result, plan) ->
+          Format.printf "topology:        %a@." Topology.pp topo;
+          Format.printf "collective:      %a@." Spec.pp spec;
+          (match plan with
+          | Some p ->
+            Format.printf "groups:          %d x %d NPUs, %d syntheses, %d dedup hits@."
+              p.Tacos_groups.Plan.groups p.Tacos_groups.Plan.group_size
+              p.Tacos_groups.Plan.syntheses p.Tacos_groups.Plan.dedup_hits;
+            List.iter
+              (fun (i : Tacos_groups.Plan.phase_info) ->
+                Format.printf
+                  "  %-21s %3d parts, %d synthesized, makespan %s, wall %s@."
+                  i.Tacos_groups.Plan.phase i.Tacos_groups.Plan.parts
+                  i.Tacos_groups.Plan.syntheses
+                  (Units.time_pp i.Tacos_groups.Plan.makespan)
+                  (Units.time_pp i.Tacos_groups.Plan.wall_seconds))
+              p.Tacos_groups.Plan.phase_infos
+          | None -> ());
+          Format.printf "collective time: %s@." (Units.time_pp result.Synth.collective_time);
+          Format.printf "bandwidth:       %s@."
+            (Units.bandwidth_pp (size /. result.Synth.collective_time));
+          Format.printf "sends:           %d over %d rounds (synthesized in %s)@."
+            (Schedule.num_sends result.Synth.schedule)
+            result.Synth.stats.Synth.rounds
+            (Units.time_pp result.Synth.stats.Synth.wall_seconds);
+          (match Synth.verify topo result with
+          | Ok () -> Format.printf "validation:      ok (congestion-free, postconditions met)@."
+          | Error e -> Format.printf "validation:      FAILED: %s@." e);
+          (match sketch with
+          | Some sk -> (
+            match Sketch.compliant topo spec sk result.Synth.schedule with
+            | Ok () ->
+              Format.printf "sketch:          ok (%d rules, schedule compliant)@."
+                (List.length sk.Sketch.rules)
+            | Error e -> Format.printf "sketch:          VIOLATED: %s@." e)
+          | None -> ());
+          (match Ideal.all_reduce_time topo ~size with
+          | ideal when pattern = Pattern.All_reduce ->
+            Format.printf "vs ideal:        %.2f%%@."
+              (100. *. ideal /. result.Synth.collective_time)
+          | _ | (exception _) -> ());
+          if events then Schedule.pp_events Format.std_formatter result.Synth.schedule;
+          (match svg with
+          | Some file ->
+            let oc = open_out file in
+            output_string oc (Svg.render topo result.Synth.schedule);
+            close_out oc;
+            Format.printf "SVG written to %s@." file
+          | None -> ());
+          (match program with
+          | Some npu ->
+            let programs =
+              Lowering.npu_programs ~npus:(Topology.num_npus topo)
+                result.Synth.schedule
             in
-            let synthesize () =
-              match groups with
-              | Some _ when sketch <> None ->
-                Error "--sketch does not compose with --groups"
-              | Some gstr -> (
-                match parse_groups topo gstr with
-                | Error e -> Error ("--groups: " ^ e)
-                | Ok gs ->
-                  let plan =
-                    Tacos_groups.Plan.synthesize ~seed ~trials ~domains topo spec
-                      ~groups:gs
-                  in
-                  Ok (plan.Tacos_groups.Plan.result, Some plan))
-              | None ->
-                (* Compiling first surfaces a typed infeasibility (including
-                   routed patterns) before any matching work. *)
-                let constraints = Option.map (Sketch.compile topo spec) sketch in
-                Ok
-                  ( (if pattern = Pattern.All_to_all then
-                       Tacos.Alltoall.synthesize ~seed topo spec
-                     else
-                       Synth.synthesize ~seed ~trials ~domains ?sketch:constraints
-                         topo spec),
-                    None )
+            if npu < 0 || npu >= Array.length programs then
+              Format.printf "NPU %d out of range@." npu
+            else begin
+              Format.printf "program of NPU %d:@." npu;
+              Lowering.pp_program Format.std_formatter programs.(npu)
+            end
+          | None -> ());
+          (match json with
+          | Some "-" -> print_string (Schedule.to_json ~spec result.Synth.schedule)
+          | Some file ->
+            let oc = open_out file in
+            output_string oc (Schedule.to_json ~spec result.Synth.schedule);
+            close_out oc;
+            Format.printf "schedule written to %s@." file
+          | None -> ());
+          if ten then begin
+            let chunk_size = Spec.chunk_size spec in
+            let cost =
+              match Topology.edges topo with
+              | e :: _ -> Link.cost e.Topology.link chunk_size
+              | [] -> 0.
             in
-            match synthesize () with
-            | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-            | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
-            | exception Sketch.Infeasible off ->
-              fail "sketch infeasible: %s" (Sketch.offender_to_string off)
-            | Error e -> fail "%s" e
-            | Ok (result, plan) ->
-              Format.printf "topology:        %a@." Topology.pp topo;
-              Format.printf "collective:      %a@." Spec.pp spec;
-              (match plan with
-              | Some p ->
-                Format.printf "groups:          %d x %d NPUs, %d syntheses, %d dedup hits@."
-                  p.Tacos_groups.Plan.groups p.Tacos_groups.Plan.group_size
-                  p.Tacos_groups.Plan.syntheses p.Tacos_groups.Plan.dedup_hits;
-                List.iter
-                  (fun (i : Tacos_groups.Plan.phase_info) ->
-                    Format.printf
-                      "  %-21s %3d parts, %d synthesized, makespan %s, wall %s@."
-                      i.Tacos_groups.Plan.phase i.Tacos_groups.Plan.parts
-                      i.Tacos_groups.Plan.syntheses
-                      (Units.time_pp i.Tacos_groups.Plan.makespan)
-                      (Units.time_pp i.Tacos_groups.Plan.wall_seconds))
-                  p.Tacos_groups.Plan.phase_infos
-              | None -> ());
-              Format.printf "collective time: %s@." (Units.time_pp result.Synth.collective_time);
-              Format.printf "bandwidth:       %s@."
-                (Units.bandwidth_pp (size /. result.Synth.collective_time));
-              Format.printf "sends:           %d over %d rounds (synthesized in %s)@."
-                (Schedule.num_sends result.Synth.schedule)
-                result.Synth.stats.Synth.rounds
-                (Units.time_pp result.Synth.stats.Synth.wall_seconds);
-              (match
-                 (if pattern = Pattern.All_to_all then
-                    Schedule.validate topo spec result.Synth.schedule
-                  else Synth.verify topo result)
-               with
-              | Ok () -> Format.printf "validation:      ok (congestion-free, postconditions met)@."
-              | Error e -> Format.printf "validation:      FAILED: %s@." e);
-              (match sketch with
-              | Some sk -> (
-                match Sketch.compliant topo spec sk result.Synth.schedule with
-                | Ok () ->
-                  Format.printf "sketch:          ok (%d rules, schedule compliant)@."
-                    (List.length sk.Sketch.rules)
-                | Error e -> Format.printf "sketch:          VIOLATED: %s@." e)
-              | None -> ());
-              (match Ideal.all_reduce_time topo ~size with
-              | ideal when pattern = Pattern.All_reduce ->
-                Format.printf "vs ideal:        %.2f%%@."
-                  (100. *. ideal /. result.Synth.collective_time)
-              | _ | (exception _) -> ());
-              if events then Schedule.pp_events Format.std_formatter result.Synth.schedule;
-              (match svg with
-              | Some file ->
-                let oc = open_out file in
-                output_string oc (Svg.render topo result.Synth.schedule);
-                close_out oc;
-                Format.printf "SVG written to %s@." file
-              | None -> ());
-              (match program with
-              | Some npu ->
-                let programs =
-                  Lowering.npu_programs ~npus:(Topology.num_npus topo)
-                    result.Synth.schedule
-                in
-                if npu < 0 || npu >= Array.length programs then
-                  Format.printf "NPU %d out of range@." npu
-                else begin
-                  Format.printf "program of NPU %d:@." npu;
-                  Lowering.pp_program Format.std_formatter programs.(npu)
-                end
-              | None -> ());
-              (match json with
-              | Some "-" -> print_string (Schedule.to_json ~spec result.Synth.schedule)
-              | Some file ->
-                let oc = open_out file in
-                output_string oc (Schedule.to_json ~spec result.Synth.schedule);
-                close_out oc;
-                Format.printf "schedule written to %s@." file
-              | None -> ());
-              if ten then begin
-                let chunk_size = Spec.chunk_size spec in
-                let cost =
-                  match Topology.edges topo with
-                  | e :: _ -> Link.cost e.Topology.link chunk_size
-                  | [] -> 0.
-                in
-                match Tacos_ten.Ten.of_schedule topo ~span_cost:cost result.Synth.schedule with
-                | ten -> print_string (Tacos_ten.Ten.render ten)
-                | exception Invalid_argument _ ->
-                  print_endline "(TEN grid unavailable: heterogeneous topology or composite schedule)"
-              end;
-              `Ok ())))
+            match Tacos_ten.Ten.of_schedule topo ~span_cost:cost result.Synth.schedule with
+            | ten -> print_string (Tacos_ten.Ten.render ten)
+            | exception Invalid_argument _ ->
+              print_endline "(TEN grid unavailable: heterogeneous topology or composite schedule)"
+          end;
+          `Ok ()))
   in
   let term =
     Term.(
@@ -285,41 +281,37 @@ let synthesize_cmd =
 
 let compare_cmd =
   let run topo_str alpha bw size_str chunks seed trials =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size ->
-          let n = Topology.num_npus topo in
-          let spec k =
-            Spec.make ~chunks_per_npu:k ~buffer_size:size ~pattern:Pattern.All_reduce
-              ~npus:n ()
-          in
-          let power_of_two = n land (n - 1) = 0 in
-          let baselines =
-            [ ("Ring", Algo.ring); ("Direct", Algo.Direct) ]
-            @ (if power_of_two then [ ("RHD", Algo.Rhd); ("DBT", Algo.Dbt) ] else [])
-            @ [ ("TACCL-like", Algo.Taccl_like) ]
-          in
-          let rows = ref [] in
-          List.iter
-            (fun (name, algo) ->
-              match Algo.collective_time algo topo (spec 1) with
-              | t ->
-                rows := [ name; Units.time_pp t; Units.bandwidth_pp (size /. t) ] :: !rows
-              | exception _ -> rows := [ name; "n/a"; "n/a" ] :: !rows)
-            baselines;
-          let result = Synth.synthesize ~seed ~trials topo (spec chunks) in
-          let program =
-            Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size (spec chunks))
-              result.Synth.schedule
-          in
-          let t = (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time in
-          rows := [ "TACOS"; Units.time_pp t; Units.bandwidth_pp (size /. t) ] :: !rows;
-          let ideal = Ideal.all_reduce_time topo ~size in
-          rows := [ "Ideal"; Units.time_pp ideal; Units.bandwidth_pp (size /. ideal) ] :: !rows;
-          Format.printf "All-Reduce of %s on %a@." (Units.bytes_pp size) Topology.pp topo;
-          Table.print ~header:[ "Algorithm"; "Time"; "Bandwidth" ] (List.rev !rows);
-          `Ok ())
+    with_inputs topo_str alpha bw size_str "all-reduce" (fun topo size pattern ->
+        let n = Topology.num_npus topo in
+        let spec k =
+          Spec.make ~chunks_per_npu:k ~buffer_size:size ~pattern ~npus:n ()
+        in
+        let power_of_two = n land (n - 1) = 0 in
+        let baselines =
+          [ ("Ring", Algo.ring); ("Direct", Algo.Direct) ]
+          @ (if power_of_two then [ ("RHD", Algo.Rhd); ("DBT", Algo.Dbt) ] else [])
+          @ [ ("TACCL-like", Algo.Taccl_like) ]
+        in
+        let rows = ref [] in
+        List.iter
+          (fun (name, algo) ->
+            match Algo.collective_time algo topo (spec 1) with
+            | t ->
+              rows := [ name; Units.time_pp t; Units.bandwidth_pp (size /. t) ] :: !rows
+            | exception _ -> rows := [ name; "n/a"; "n/a" ] :: !rows)
+          baselines;
+        let result = Synth.synthesize ~seed ~trials topo (spec chunks) in
+        let program =
+          Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size (spec chunks))
+            result.Synth.schedule
+        in
+        let t = (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time in
+        rows := [ "TACOS"; Units.time_pp t; Units.bandwidth_pp (size /. t) ] :: !rows;
+        let ideal = Ideal.all_reduce_time topo ~size in
+        rows := [ "Ideal"; Units.time_pp ideal; Units.bandwidth_pp (size /. ideal) ] :: !rows;
+        Format.printf "All-Reduce of %s on %a@." (Units.bytes_pp size) Topology.pp topo;
+        Table.print ~header:[ "Algorithm"; "Time"; "Bandwidth" ] (List.rev !rows);
+        `Ok ())
   in
   let term =
     Term.(
@@ -343,77 +335,71 @@ let tune_cmd =
   in
   let run topo_str alpha bw size_str pattern_str seed domains candidates groups
       sketch_path =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size -> (
-          match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-          | Error e -> fail "%s" e
-          | Ok pattern ->
-            with_sketch sketch_path (fun sketch ->
-            (* With --groups, every candidate granularity is synthesized
-               hierarchically through the group planner. *)
-            let backend =
-              match (groups, sketch) with
-              | Some _, Some _ -> Error "--sketch does not compose with --groups"
-              | None, None -> Ok None
-              | None, Some sk ->
-                Ok
-                  (Some
+    with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
+        with_sketch sketch_path (fun sketch ->
+        (* With --groups, every candidate granularity is synthesized
+           hierarchically through the group planner. *)
+        let backend =
+          match (groups, sketch) with
+          | Some _, Some _ -> Error "--sketch does not compose with --groups"
+          | None, None -> Ok None
+          | None, Some sk ->
+            Ok
+              (Some
+                 (fun ~seed topo spec ->
+                   (* Per candidate: pin chunk ids are validated against
+                      each candidate's own chunk space. *)
+                   let c = Sketch.compile topo spec sk in
+                   Synth.synthesize ~seed ~domains ~sketch:c topo spec))
+          | Some gstr, None ->
+            Result.map_error
+              (fun e -> "--groups: " ^ e)
+              (Result.map
+                 (fun gs ->
+                   Some
                      (fun ~seed topo spec ->
-                       (* Per candidate: pin chunk ids are validated against
-                          each candidate's own chunk space. *)
-                       let c = Sketch.compile topo spec sk in
-                       Synth.synthesize ~seed ~domains ~sketch:c topo spec))
-              | Some gstr, None ->
-                Result.map_error
-                  (fun e -> "--groups: " ^ e)
-                  (Result.map
-                     (fun gs ->
-                       Some
-                         (fun ~seed topo spec ->
-                           (Tacos_groups.Plan.synthesize ~seed ~domains topo spec
-                              ~groups:gs)
-                             .Tacos_groups.Plan.result))
-                     (parse_groups topo gstr))
-            in
-            match backend with
-            | Error e -> fail "%s" e
-            | Ok synthesize -> (
-              match
-                let rows = ref [] in
-                List.iter
-                  (fun k ->
-                    let choice =
-                      Tacos.Tuner.tune ~seed ~domains ~candidates:[ k ] ?synthesize
-                        topo ~pattern ~size
-                    in
-                    rows :=
-                      [
-                        string_of_int k;
-                        Units.time_pp choice.Tacos.Tuner.simulated_time;
-                        Units.bandwidth_pp (size /. choice.Tacos.Tuner.simulated_time);
-                      ]
-                      :: !rows)
-                  candidates;
-                let best =
-                  Tacos.Tuner.tune ~seed ~domains ~candidates ?synthesize topo
-                    ~pattern ~size
+                       (Tacos_groups.Plan.synthesize ~seed ~domains topo spec
+                          ~groups:gs)
+                         .Tacos_groups.Plan.result))
+                 (parse_groups topo gstr))
+        in
+        match backend with
+        | Error e -> fail "%s" e
+        | Ok synthesize -> (
+          match
+            let rows = ref [] in
+            List.iter
+              (fun k ->
+                let choice =
+                  Tacos.Tuner.tune ~seed ~domains ~candidates:[ k ] ?synthesize
+                    topo ~pattern ~size
                 in
-                (List.rev !rows, best)
-              with
-              | exception Sketch.Infeasible off ->
-                fail "sketch infeasible: %s" (Sketch.offender_to_string off)
-              | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-              | rows, best ->
-                Format.printf "%s of %s on %a@." (Pattern.name pattern)
-                  (Units.bytes_pp size) Topology.pp topo;
-                Table.print ~header:[ "chunks/NPU"; "simulated time"; "bandwidth" ]
-                  rows;
-                Format.printf "best: %d chunks/NPU (%s)@."
-                  best.Tacos.Tuner.chunks_per_npu
-                  (Units.time_pp best.Tacos.Tuner.simulated_time);
-                `Ok ()))))
+                rows :=
+                  [
+                    string_of_int k;
+                    Units.time_pp choice.Tacos.Tuner.simulated_time;
+                    Units.bandwidth_pp (size /. choice.Tacos.Tuner.simulated_time);
+                  ]
+                  :: !rows)
+              candidates;
+            let best =
+              Tacos.Tuner.tune ~seed ~domains ~candidates ?synthesize topo
+                ~pattern ~size
+            in
+            (List.rev !rows, best)
+          with
+          | exception Sketch.Infeasible off ->
+            fail "sketch infeasible: %s" (Sketch.offender_to_string off)
+          | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
+          | rows, best ->
+            Format.printf "%s of %s on %a@." (Pattern.name pattern)
+              (Units.bytes_pp size) Topology.pp topo;
+            Table.print ~header:[ "chunks/NPU"; "simulated time"; "bandwidth" ]
+              rows;
+            Format.printf "best: %d chunks/NPU (%s)@."
+              best.Tacos.Tuner.chunks_per_npu
+              (Units.time_pp best.Tacos.Tuner.simulated_time);
+            `Ok ())))
   in
   let term =
     Term.(
@@ -445,54 +431,48 @@ let pareto_cmd =
   in
   let run topo_str alpha bw size_str pattern_str seed trials domains candidates
       sketch_path json =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size -> (
-          match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-          | Error e -> fail "%s" e
-          | Ok pattern ->
-            with_sketch sketch_path (fun sketch ->
-            match
-              Strategy.sweep ~seed ~trials ~domains ~candidates ?sketch topo
-                ~pattern ~size
-            with
-            | exception Sketch.Infeasible off ->
-              fail "sketch infeasible: %s" (Sketch.offender_to_string off)
-            | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-            | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
-            | exception Invalid_argument msg -> fail "%s" msg
-            | outcome ->
-              if json then print_endline (Strategy.to_json outcome)
-              else begin
-                Format.printf "%s of %s on %a — latency/bandwidth tradeoffs@."
-                  (Pattern.name pattern) (Units.bytes_pp size) Topology.pp topo;
-                let on_frontier p = List.memq p outcome.Strategy.frontier in
-                Table.print
-                  ~header:
-                    [
-                      "chunks/NPU"; "steps"; "sends"; "collective"; "simulated";
-                      "synth wall"; "frontier";
-                    ]
-                  (List.map
-                     (fun (p : Strategy.point) ->
-                       [
-                         string_of_int p.Strategy.chunks_per_npu;
-                         string_of_int p.Strategy.steps;
-                         string_of_int p.Strategy.sends;
-                         Units.time_pp p.Strategy.collective_time;
-                         Units.time_pp p.Strategy.simulated_time;
-                         Units.time_pp p.Strategy.synthesis_seconds;
-                         (if on_frontier p then "*" else "dominated");
-                       ])
-                     outcome.Strategy.points);
-                Format.printf
-                  "frontier: %d of %d points non-dominated over (chunks, steps, \
-                   simulated time)@."
-                  (List.length outcome.Strategy.frontier)
-                  (List.length outcome.Strategy.points)
-              end;
-              `Ok ())))
+    with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
+        with_sketch sketch_path (fun sketch ->
+        match
+          Strategy.sweep ~seed ~trials ~domains ~candidates ?sketch topo
+            ~pattern ~size
+        with
+        | exception Sketch.Infeasible off ->
+          fail "sketch infeasible: %s" (Sketch.offender_to_string off)
+        | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
+        | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
+        | exception Invalid_argument msg -> fail "%s" msg
+        | outcome ->
+          if json then print_endline (Strategy.to_json outcome)
+          else begin
+            Format.printf "%s of %s on %a — latency/bandwidth tradeoffs@."
+              (Pattern.name pattern) (Units.bytes_pp size) Topology.pp topo;
+            let on_frontier p = List.memq p outcome.Strategy.frontier in
+            Table.print
+              ~header:
+                [
+                  "chunks/NPU"; "steps"; "sends"; "collective"; "simulated";
+                  "synth wall"; "frontier";
+                ]
+              (List.map
+                 (fun (p : Strategy.point) ->
+                   [
+                     string_of_int p.Strategy.chunks_per_npu;
+                     string_of_int p.Strategy.steps;
+                     string_of_int p.Strategy.sends;
+                     Units.time_pp p.Strategy.collective_time;
+                     Units.time_pp p.Strategy.simulated_time;
+                     Units.time_pp p.Strategy.synthesis_seconds;
+                     (if on_frontier p then "*" else "dominated");
+                   ])
+                 outcome.Strategy.points);
+            Format.printf
+              "frontier: %d of %d points non-dominated over (chunks, steps, \
+               simulated time)@."
+              (List.length outcome.Strategy.frontier)
+              (List.length outcome.Strategy.points)
+          end;
+          `Ok ()))
   in
   let term =
     Term.(
@@ -527,85 +507,74 @@ let profile_cmd =
              in Tacos_obs.Trace).")
   in
   let run topo_str alpha bw size_str pattern_str chunks seed trials out trace =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size -> (
-          match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-          | Error e -> fail "%s" e
-          | Ok pattern -> (
-            let spec =
-              Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-                ~npus:(Topology.num_npus topo) ()
-            in
-            (* Everything below runs with the obs registry on: synthesis
-               populates the synth.*/router.* metrics, and replaying the
-               schedule under the congestion-aware simulator populates the
-               engine.* queueing metrics. *)
-            Obs.enable ();
-            Obs.reset ();
-            if trace then begin
-              Trace.enable ();
-              Trace.reset ()
-            end;
-            let synthesize () =
-              if pattern = Pattern.All_to_all then Tacos.Alltoall.synthesize ~seed topo spec
-              else Synth.synthesize ~seed ~trials topo spec
-            in
-            match synthesize () with
-            | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-            | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
-            | result ->
-              let program =
-                Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size spec)
-                  result.Synth.schedule
-              in
-              let sim = Tacos_sim.Engine.run topo program in
-              let snap = Obs.snapshot () in
-              let memo_hits = Obs.value (Obs.counter "synth.memo_hits") in
-              let scans = Obs.value (Obs.counter "synth.pick_scans") in
-              let memo_hit_rate =
-                if memo_hits + scans = 0 then 0.
-                else float_of_int memo_hits /. float_of_int (memo_hits + scans)
-              in
-              let num f = Json.Number f in
-              let doc =
-                Json.Object
-                  ([
-                     ("topology", Json.String (Topology.name topo));
-                     ("npus", num (float_of_int (Topology.num_npus topo)));
-                     ("links", num (float_of_int (Topology.num_links topo)));
-                     ("pattern", Json.String (Pattern.name pattern));
-                     ("buffer_bytes", num size);
-                     ("chunks_per_npu", num (float_of_int chunks));
-                     ("seed", num (float_of_int seed));
-                     ("trials", num (float_of_int trials));
-                     ("collective_time_seconds", num result.Synth.collective_time);
-                     ("simulated_time_seconds", num sim.Tacos_sim.Engine.finish_time);
-                     ("synthesis_wall_seconds", num result.Synth.stats.Synth.wall_seconds);
-                     ("rounds", num (float_of_int result.Synth.stats.Synth.rounds));
-                     ("matches", num (float_of_int result.Synth.stats.Synth.matches));
-                     ("derived", Json.Object [ ("memo_hit_rate", num memo_hit_rate) ]);
-                     ("obs", snap);
-                   ]
-                  @
-                  if trace then
-                    [
-                      ("trace", Obs.trace_events ());
-                      ("lifecycle", Trace.to_json (Trace.dump ()));
-                    ]
-                  else [])
-              in
-              let text = Json.encode doc in
-              (match out with
-              | "-" -> print_endline text
-              | file ->
-                let oc = open_out file in
-                output_string oc text;
-                output_char oc '\n';
-                close_out oc;
-                Format.printf "profile written to %s@." file);
-              `Ok ())))
+    with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
+        let spec =
+          Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
+            ~npus:(Topology.num_npus topo) ()
+        in
+        (* Everything below runs with the obs registry on: synthesis
+           populates the synth.*/router.* metrics, and replaying the
+           schedule under the congestion-aware simulator populates the
+           engine.* queueing metrics. *)
+        Obs.enable ();
+        Obs.reset ();
+        if trace then begin
+          Trace.enable ();
+          Trace.reset ()
+        end;
+        match Tacos.Router.dispatch ~seed ~trials topo spec with
+        | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
+        | result ->
+          let program =
+            Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size spec)
+              result.Synth.schedule
+          in
+          let sim = Tacos_sim.Engine.run topo program in
+          let snap = Obs.snapshot () in
+          let memo_hits = Obs.value (Obs.counter "synth.memo_hits") in
+          let scans = Obs.value (Obs.counter "synth.pick_scans") in
+          let memo_hit_rate =
+            if memo_hits + scans = 0 then 0.
+            else float_of_int memo_hits /. float_of_int (memo_hits + scans)
+          in
+          let num f = Json.Number f in
+          let doc =
+            Json.Object
+              ([
+                 ("topology", Json.String (Topology.name topo));
+                 ("npus", num (float_of_int (Topology.num_npus topo)));
+                 ("links", num (float_of_int (Topology.num_links topo)));
+                 ("pattern", Json.String (Pattern.name pattern));
+                 ("buffer_bytes", num size);
+                 ("chunks_per_npu", num (float_of_int chunks));
+                 ("seed", num (float_of_int seed));
+                 ("trials", num (float_of_int trials));
+                 ("collective_time_seconds", num result.Synth.collective_time);
+                 ("simulated_time_seconds", num sim.Tacos_sim.Engine.finish_time);
+                 ("synthesis_wall_seconds", num result.Synth.stats.Synth.wall_seconds);
+                 ("rounds", num (float_of_int result.Synth.stats.Synth.rounds));
+                 ("matches", num (float_of_int result.Synth.stats.Synth.matches));
+                 ("derived", Json.Object [ ("memo_hit_rate", num memo_hit_rate) ]);
+                 ("obs", snap);
+               ]
+              @
+              if trace then
+                [
+                  ("trace", Obs.trace_events ());
+                  ("lifecycle", Trace.to_json (Trace.dump ()));
+                ]
+              else [])
+          in
+          let text = Json.encode doc in
+          (match out with
+          | "-" -> print_endline text
+          | file ->
+            let oc = open_out file in
+            output_string oc text;
+            output_char oc '\n';
+            close_out oc;
+            Format.printf "profile written to %s@." file);
+          `Ok ())
   in
   let term =
     Term.(
@@ -966,191 +935,185 @@ let faults_cmd =
   in
   let run topo_str alpha bw size_str pattern_str chunks seed trials domains
       fail_links fail_npus degrade degrade_factor budget at_strs json =
-    with_setup topo_str alpha bw (fun topo ->
-        match Parse.parse_size size_str with
-        | Error e -> fail "%s" e
-        | Ok size -> (
-          match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
+    with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
+        let spec =
+          Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
+            ~npus:(Topology.num_npus topo) ()
+        in
+        (* Deterministic fault set from one seed: kills, NPU kills, then
+           degradations, all drawn from the same stream. *)
+        let rng = Tacos_util.Rng.create seed in
+        match
+          let kills = Fault.random_link_kills rng topo fail_links in
+          let npus = Fault.random_npu_kills rng topo fail_npus in
+          let slow =
+            Fault.random_degradations rng ~factor:degrade_factor topo degrade
+          in
+          kills @ npus @ slow
+        with
+        | exception Invalid_argument msg -> fail "%s" msg
+        | faults when at_strs <> [] -> (
+          let parsed =
+            List.fold_left
+              (fun acc s ->
+                match (acc, parse_event s) with
+                | Error _, _ -> acc
+                | _, Error e -> Error e
+                | Ok evs, Ok ev -> Ok (evs @ [ ev ]))
+              (Ok []) at_strs
+          in
+          match parsed with
           | Error e -> fail "%s" e
-          | Ok pattern -> (
-            let spec =
-              Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-                ~npus:(Topology.num_npus topo) ()
-            in
-            (* Deterministic fault set from one seed: kills, NPU kills, then
-               degradations, all drawn from the same stream. *)
-            let rng = Tacos_util.Rng.create seed in
-            match
-              let kills = Fault.random_link_kills rng topo fail_links in
-              let npus = Fault.random_npu_kills rng topo fail_npus in
-              let slow =
-                Fault.random_degradations rng ~factor:degrade_factor topo degrade
-              in
-              kills @ npus @ slow
-            with
-            | exception Invalid_argument msg -> fail "%s" msg
-            | faults when at_strs <> [] -> (
-              let parsed =
-                List.fold_left
-                  (fun acc s ->
-                    match (acc, parse_event s) with
-                    | Error _, _ -> acc
-                    | _, Error e -> Error e
-                    | Ok evs, Ok ev -> Ok (evs @ [ ev ]))
-                  (Ok []) at_strs
-              in
-              match parsed with
-              | Error e -> fail "%s" e
-              | Ok [ (at_spec, None) ] ->
-                (* Legacy single-event form: the sampled faults land at T. *)
-                Format.printf "topology:     %a@." Topology.pp topo;
-                Format.printf "collective:   %a@." Spec.pp spec;
-                if faults = [] then Format.printf "faults:       none@."
-                else
-                  List.iter
-                    (fun f -> Format.printf "fault:        %a@." Fault.pp f)
-                    faults;
-                midflight_run ~seed ~trials ~domains ~budget ~json topo spec size
-                  faults at_spec
-              | Ok events when List.exists (fun (_, fs) -> fs = None) events ->
-                fail
-                  "a fault timeline needs each --at to carry its faults: --at \
-                   T:kill-link=N,..."
-              | Ok _ when faults <> [] ->
-                fail
-                  "--fail-links/--fail-npus/--degrade cannot combine with an \
-                   explicit --at T:SPEC timeline"
-              | Ok events ->
-                let events =
-                  List.map (fun (at, fs) -> (at, Option.get fs)) events
-                in
-                Format.printf "topology:     %a@." Topology.pp topo;
-                Format.printf "collective:   %a@." Spec.pp spec;
-                multiflight_run ~seed ~trials ~domains ~budget ~json topo spec
-                  size events)
-            | faults ->
-              Obs.enable ();
-              Obs.reset ();
-              Format.printf "topology:     %a@." Topology.pp topo;
-              Format.printf "collective:   %a@." Spec.pp spec;
-              if faults = [] then Format.printf "faults:       none@."
-              else
-                List.iter
-                  (fun f -> Format.printf "fault:        %a@." Fault.pp f)
-                  faults;
-              let degraded = Fault.apply topo faults in
-              Format.printf "degraded:     %a@." Topology.pp degraded;
-              let connectivity = Fault.connectivity degraded in
-              Format.printf "connectivity: %a@." Fault.pp_connectivity connectivity;
-              (* The whole pipeline: fallback-ladder synthesis on the
-                 degraded fabric, then — when faults were injected — the
-                 degradation analysis of the healthy schedule. *)
-              let outcome =
-                Resilience.synthesize ~seed ~trials ?budget_ms:budget ~faults topo
-                  spec
-              in
-              (match outcome with
-              | Ok o ->
-                (match o.Resilience.plan with
-                | Resilience.Synthesized result ->
-                  Format.printf "plan:         synthesized (%d sends, makespan %s)@."
-                    (Schedule.num_sends result.Synth.schedule)
-                    (Units.time_pp result.Synth.collective_time);
-                  (match Synth.verify degraded result with
-                  | Ok () ->
-                    Format.printf
-                      "validation:   ok (congestion-free, postconditions met)@."
-                  | Error e -> Format.printf "validation:   FAILED: %s@." e)
-                | Resilience.Baseline { algo; _ } ->
-                  Format.printf "plan:         fallback baseline %s@." (Algo.name algo));
-                Format.printf "simulated:    %s (%s)@."
-                  (Units.time_pp o.Resilience.simulated_time)
-                  (Units.bandwidth_pp (size /. o.Resilience.simulated_time));
-                if o.Resilience.retries > 0 then
-                  Format.printf "retries:      %d@." o.Resilience.retries;
-                Format.printf "ladder:       %s@."
-                  (String.concat " -> " o.Resilience.rungs)
-              | Error f -> Format.printf "plan:         NONE — %a@." Resilience.pp_failure f);
-              (* Healthy-vs-degraded: what re-synthesis buys over replaying
-                 the healthy schedule (only meaningful with faults and a
-                 synthesizer-supported pattern). *)
-              let analysis =
-                if faults = [] then None
-                else
-                  match Synth.synthesize ~seed ~trials topo spec with
-                  | healthy ->
-                    Some (Resilience.analyze ~seed ~trials topo faults healthy)
-                  | exception (Synth.Stuck _ | Synth.Unsupported _) -> None
-              in
-              (match analysis with
-              | None -> ()
-              | Some a ->
-                Format.printf "healthy plan: %s on the degraded fabric@."
-                  (Resilience.health_to_string a.Resilience.health);
-                (match (a.Resilience.replay_time, a.Resilience.resynth_time) with
-                | Some replay, Some resynth ->
-                  Format.printf "replay:       %s; re-synthesis: %s@."
-                    (Units.time_pp replay) (Units.time_pp resynth)
-                | _ -> ());
-                match a.Resilience.advantage with
-                | Some adv -> Format.printf "advantage:    %.2fx from re-synthesis@." adv
-                | None -> ());
-              Format.printf "fallback counters:@.";
+          | Ok [ (at_spec, None) ] ->
+            (* Legacy single-event form: the sampled faults land at T. *)
+            Format.printf "topology:     %a@." Topology.pp topo;
+            Format.printf "collective:   %a@." Spec.pp spec;
+            if faults = [] then Format.printf "faults:       none@."
+            else
               List.iter
-                (fun name ->
-                  Format.printf "  %-32s %d@." name (Obs.value (Obs.counter name)))
+                (fun f -> Format.printf "fault:        %a@." Fault.pp f)
+                faults;
+            midflight_run ~seed ~trials ~domains ~budget ~json topo spec size
+              faults at_spec
+          | Ok events when List.exists (fun (_, fs) -> fs = None) events ->
+            fail
+              "a fault timeline needs each --at to carry its faults: --at \
+               T:kill-link=N,..."
+          | Ok _ when faults <> [] ->
+            fail
+              "--fail-links/--fail-npus/--degrade cannot combine with an \
+               explicit --at T:SPEC timeline"
+          | Ok events ->
+            let events =
+              List.map (fun (at, fs) -> (at, Option.get fs)) events
+            in
+            Format.printf "topology:     %a@." Topology.pp topo;
+            Format.printf "collective:   %a@." Spec.pp spec;
+            multiflight_run ~seed ~trials ~domains ~budget ~json topo spec
+              size events)
+        | faults ->
+          Obs.enable ();
+          Obs.reset ();
+          Format.printf "topology:     %a@." Topology.pp topo;
+          Format.printf "collective:   %a@." Spec.pp spec;
+          if faults = [] then Format.printf "faults:       none@."
+          else
+            List.iter
+              (fun f -> Format.printf "fault:        %a@." Fault.pp f)
+              faults;
+          let degraded = Fault.apply topo faults in
+          Format.printf "degraded:     %a@." Topology.pp degraded;
+          let connectivity = Fault.connectivity degraded in
+          Format.printf "connectivity: %a@." Fault.pp_connectivity connectivity;
+          (* The whole pipeline: fallback-ladder synthesis on the
+             degraded fabric, then — when faults were injected — the
+             degradation analysis of the healthy schedule. *)
+          let outcome =
+            Resilience.synthesize ~seed ~trials ?budget_ms:budget ~faults topo
+              spec
+          in
+          (match outcome with
+          | Ok o ->
+            (match o.Resilience.plan with
+            | Resilience.Synthesized result ->
+              Format.printf "plan:         synthesized (%d sends, makespan %s)@."
+                (Schedule.num_sends result.Synth.schedule)
+                (Units.time_pp result.Synth.collective_time);
+              (match Synth.verify degraded result with
+              | Ok () ->
+                Format.printf
+                  "validation:   ok (congestion-free, postconditions met)@."
+              | Error e -> Format.printf "validation:   FAILED: %s@." e)
+            | Resilience.Baseline { algo; _ } ->
+              Format.printf "plan:         fallback baseline %s@." (Algo.name algo));
+            Format.printf "simulated:    %s (%s)@."
+              (Units.time_pp o.Resilience.simulated_time)
+              (Units.bandwidth_pp (size /. o.Resilience.simulated_time));
+            if o.Resilience.retries > 0 then
+              Format.printf "retries:      %d@." o.Resilience.retries;
+            Format.printf "ladder:       %s@."
+              (String.concat " -> " o.Resilience.rungs)
+          | Error f -> Format.printf "plan:         NONE — %a@." Resilience.pp_failure f);
+          (* Healthy-vs-degraded: what re-synthesis buys over replaying
+             the healthy schedule (only meaningful with faults and a
+             synthesizer-supported pattern). *)
+          let analysis =
+            if faults = [] then None
+            else
+              match Synth.synthesize ~seed ~trials topo spec with
+              | healthy ->
+                Some (Resilience.analyze ~seed ~trials topo faults healthy)
+              | exception (Synth.Stuck _ | Synth.Unsupported _) -> None
+          in
+          (match analysis with
+          | None -> ()
+          | Some a ->
+            Format.printf "healthy plan: %s on the degraded fabric@."
+              (Resilience.health_to_string a.Resilience.health);
+            (match (a.Resilience.replay_time, a.Resilience.resynth_time) with
+            | Some replay, Some resynth ->
+              Format.printf "replay:       %s; re-synthesis: %s@."
+                (Units.time_pp replay) (Units.time_pp resynth)
+            | _ -> ());
+            match a.Resilience.advantage with
+            | Some adv -> Format.printf "advantage:    %.2fx from re-synthesis@." adv
+            | None -> ());
+          Format.printf "fallback counters:@.";
+          List.iter
+            (fun name ->
+              Format.printf "  %-32s %d@." name (Obs.value (Obs.counter name)))
+            [
+              "resilience.synth_ok";
+              "resilience.synth_retries";
+              "resilience.fallback_baseline";
+              "resilience.failures";
+              "resilience.disconnected_inputs";
+            ];
+          (match json with
+          | None -> ()
+          | Some dest ->
+            let doc =
+              Json.Object
                 [
-                  "resilience.synth_ok";
-                  "resilience.synth_retries";
-                  "resilience.fallback_baseline";
-                  "resilience.failures";
-                  "resilience.disconnected_inputs";
-                ];
-              (match json with
-              | None -> ()
-              | Some dest ->
-                let doc =
-                  Json.Object
-                    [
-                      ("topology", Json.String (Topology.name topo));
-                      ("pattern", Json.String (Pattern.name pattern));
-                      ("buffer_bytes", Json.Number size);
-                      ("seed", Json.Number (float_of_int seed));
-                      ("faults", Json.Array (List.map Fault.to_json faults));
-                      ( "connectivity",
-                        Json.String
-                          (Format.asprintf "%a" Fault.pp_connectivity connectivity) );
-                      ( "outcome",
-                        match outcome with
-                        | Ok o ->
-                          Json.Object
-                            [
-                              ( "plan",
-                                Json.String
-                                  (match o.Resilience.plan with
-                                  | Resilience.Synthesized _ -> "synthesized"
-                                  | Resilience.Baseline { algo; _ } ->
-                                    "baseline " ^ Algo.name algo) );
-                              ("simulated_seconds", Json.Number o.Resilience.simulated_time);
-                              ("retries", Json.Number (float_of_int o.Resilience.retries));
-                              ( "ladder",
-                                Json.Array
-                                  (List.map (fun r -> Json.String r) o.Resilience.rungs) );
-                            ]
-                        | Error f -> Resilience.failure_to_json f );
-                      ("obs", Obs.snapshot ());
-                    ]
-                in
-                let text = Json.encode doc in
-                (match dest with
-                | "-" -> print_endline text
-                | file ->
-                  let oc = open_out file in
-                  output_string oc text;
-                  output_char oc '\n';
-                  close_out oc;
-                  Format.printf "report written to %s@." file));
-              `Ok ())))
+                  ("topology", Json.String (Topology.name topo));
+                  ("pattern", Json.String (Pattern.name pattern));
+                  ("buffer_bytes", Json.Number size);
+                  ("seed", Json.Number (float_of_int seed));
+                  ("faults", Json.Array (List.map Fault.to_json faults));
+                  ( "connectivity",
+                    Json.String
+                      (Format.asprintf "%a" Fault.pp_connectivity connectivity) );
+                  ( "outcome",
+                    match outcome with
+                    | Ok o ->
+                      Json.Object
+                        [
+                          ( "plan",
+                            Json.String
+                              (match o.Resilience.plan with
+                              | Resilience.Synthesized _ -> "synthesized"
+                              | Resilience.Baseline { algo; _ } ->
+                                "baseline " ^ Algo.name algo) );
+                          ("simulated_seconds", Json.Number o.Resilience.simulated_time);
+                          ("retries", Json.Number (float_of_int o.Resilience.retries));
+                          ( "ladder",
+                            Json.Array
+                              (List.map (fun r -> Json.String r) o.Resilience.rungs) );
+                        ]
+                    | Error f -> Resilience.failure_to_json f );
+                  ("obs", Obs.snapshot ());
+                ]
+            in
+            let text = Json.encode doc in
+            (match dest with
+            | "-" -> print_endline text
+            | file ->
+              let oc = open_out file in
+              output_string oc text;
+              output_char oc '\n';
+              close_out oc;
+              Format.printf "report written to %s@." file));
+          `Ok ())
   in
   let term =
     Term.(
@@ -1225,157 +1188,145 @@ let trace_cmd =
           `Ok ()
         | Error e -> fail "%s: INVALID: %s" file e))
     | None ->
-      with_setup topo_str alpha bw (fun topo ->
-          match Parse.parse_size size_str with
-          | Error e -> fail "%s" e
-          | Ok size -> (
-            match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-            | Error e -> fail "%s" e
-            | Ok pattern -> (
-              let spec =
-                Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-                  ~npus:(Topology.num_npus topo) ()
-              in
-              Trace.enable ();
-              Trace.reset ();
-              let synthesize () =
-                if pattern = Pattern.All_to_all then
-                  Tacos.Alltoall.synthesize ~seed topo spec
-                else Synth.synthesize ~seed ~trials topo spec
-              in
-              match synthesize () with
-              | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-              | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
-              | result ->
-                (* Transfer tags carry the collective phase ("phase:chunkN")
-                   so the analyzer can attribute the makespan per phase. *)
-                let tag_of =
-                  match result.Synth.phases with
-                  | Some (rs, _) ->
-                    fun (s : Schedule.send) ->
-                      Printf.sprintf "%s:chunk%d"
-                        (Schedule.phase_of_send ~reduce_scatter:rs s)
-                        s.chunk
-                  | None ->
-                    let name = Pattern.name pattern in
-                    fun (s : Schedule.send) ->
-                      Printf.sprintf "%s:chunk%d" name s.chunk
+      with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
+          let spec =
+            Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
+              ~npus:(Topology.num_npus topo) ()
+          in
+          Trace.enable ();
+          Trace.reset ();
+          match Tacos.Router.dispatch ~seed ~trials topo spec with
+          | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
+          | result ->
+            (* Transfer tags carry the collective phase ("phase:chunkN")
+               so the analyzer can attribute the makespan per phase. *)
+            let tag_of =
+              match result.Synth.phases with
+              | Some (rs, _) ->
+                fun (s : Schedule.send) ->
+                  Printf.sprintf "%s:chunk%d"
+                    (Schedule.phase_of_send ~reduce_scatter:rs s)
+                    s.chunk
+              | None ->
+                let name = Pattern.name pattern in
+                fun (s : Schedule.send) ->
+                  Printf.sprintf "%s:chunk%d" name s.chunk
+            in
+            let program =
+              Sim_program.of_schedule ~tag_of ~chunk_size:(Spec.chunk_size spec)
+                result.Synth.schedule
+            in
+            let sim = Engine.run topo program in
+            let d = Trace.dump () in
+            let transfers = Sim_program.transfers program in
+            let phase_of tid =
+              let tag = transfers.(tid).Sim_program.tag in
+              match String.index_opt tag ':' with
+              | Some i -> String.sub tag 0 i
+              | None -> tag
+            in
+            let edge_ends = Array.make (Topology.num_links topo) (0, 0) in
+            List.iter
+              (fun (e : Topology.edge) -> edge_ends.(e.id) <- (e.src, e.dst))
+              (Topology.edges topo);
+            let link_label l =
+              let src, dst = edge_ends.(l) in
+              Printf.sprintf "link %d (%d->%d)" l src dst
+            in
+            let transfer_label tid =
+              Printf.sprintf "t%d %s" tid transfers.(tid).Sim_program.tag
+            in
+            let doc =
+              Chrome.export ~link_label ~transfer_label
+                ~num_links:(Topology.num_links topo) d
+            in
+            match Chrome.validate doc with
+            | Error e -> fail "internal: emitted trace fails validation: %s" e
+            | Ok () ->
+              let text = Json.encode doc in
+              (match out with
+              | "-" -> print_endline text
+              | file ->
+                let oc = open_out file in
+                output_string oc text;
+                output_char oc '\n';
+                close_out oc);
+              Format.printf "topology:        %a@." Topology.pp topo;
+              Format.printf "collective:      %a@." Spec.pp spec;
+              Format.printf "simulated time:  %s@."
+                (Units.time_pp sim.Engine.finish_time);
+              Format.printf "trace:           %d events, %d spans%s@."
+                (List.length d.Trace.events)
+                (List.length d.Trace.spans)
+                (if d.Trace.dropped > 0 then
+                   Printf.sprintf " (%d dropped at the buffer cap)" d.Trace.dropped
+                 else "");
+              (match Critpath.analyze ~phase_of d.Trace.events with
+              | None ->
+                Format.printf "critical path:   (no completed transfers)@."
+              | Some cp ->
+                let attributed = Critpath.attributed_total cp in
+                Format.printf
+                  "critical path:   ends at t%d; %s attributed of %s makespan@."
+                  cp.Critpath.critical_transfer (Units.time_pp attributed)
+                  (Units.time_pp cp.Critpath.makespan);
+                Table.print
+                  ~header:[ "where the time went"; "seconds"; "share" ]
+                  (List.map
+                     (fun (c, v) ->
+                       [
+                         Critpath.category_name c;
+                         Units.time_pp v;
+                         Table.cell_percent
+                           (if cp.Critpath.makespan > 0. then
+                              v /. cp.Critpath.makespan
+                            else 0.);
+                       ])
+                     cp.Critpath.totals);
+                if cp.Critpath.per_phase <> [] then begin
+                  Format.printf "per collective phase:@.";
+                  Table.print
+                    ~header:[ "phase"; "seconds"; "share" ]
+                    (List.map
+                       (fun (phase, cats) ->
+                         let v =
+                           List.fold_left (fun acc (_, w) -> acc +. w) 0. cats
+                         in
+                         [
+                           phase;
+                           Units.time_pp v;
+                           Table.cell_percent
+                             (if cp.Critpath.makespan > 0. then
+                                v /. cp.Critpath.makespan
+                              else 0.);
+                         ])
+                       cp.Critpath.per_phase)
+                end;
+                let top_links =
+                  List.filteri (fun i _ -> i < top) cp.Critpath.per_link
                 in
-                let program =
-                  Sim_program.of_schedule ~tag_of ~chunk_size:(Spec.chunk_size spec)
-                    result.Synth.schedule
-                in
-                let sim = Engine.run topo program in
-                let d = Trace.dump () in
-                let transfers = Sim_program.transfers program in
-                let phase_of tid =
-                  let tag = transfers.(tid).Sim_program.tag in
-                  match String.index_opt tag ':' with
-                  | Some i -> String.sub tag 0 i
-                  | None -> tag
-                in
-                let edge_ends = Array.make (Topology.num_links topo) (0, 0) in
-                List.iter
-                  (fun (e : Topology.edge) -> edge_ends.(e.id) <- (e.src, e.dst))
-                  (Topology.edges topo);
-                let link_label l =
-                  let src, dst = edge_ends.(l) in
-                  Printf.sprintf "link %d (%d->%d)" l src dst
-                in
-                let transfer_label tid =
-                  Printf.sprintf "t%d %s" tid transfers.(tid).Sim_program.tag
-                in
-                let doc =
-                  Chrome.export ~link_label ~transfer_label
-                    ~num_links:(Topology.num_links topo) d
-                in
-                match Chrome.validate doc with
-                | Error e -> fail "internal: emitted trace fails validation: %s" e
-                | Ok () ->
-                  let text = Json.encode doc in
-                  (match out with
-                  | "-" -> print_endline text
-                  | file ->
-                    let oc = open_out file in
-                    output_string oc text;
-                    output_char oc '\n';
-                    close_out oc);
-                  Format.printf "topology:        %a@." Topology.pp topo;
-                  Format.printf "collective:      %a@." Spec.pp spec;
-                  Format.printf "simulated time:  %s@."
+                if top_links <> [] then begin
+                  Format.printf
+                    "top critical links (busy over [0, %s], # >=75%% busy):@."
                     (Units.time_pp sim.Engine.finish_time);
-                  Format.printf "trace:           %d events, %d spans%s@."
-                    (List.length d.Trace.events)
-                    (List.length d.Trace.spans)
-                    (if d.Trace.dropped > 0 then
-                       Printf.sprintf " (%d dropped at the buffer cap)" d.Trace.dropped
-                     else "");
-                  (match Critpath.analyze ~phase_of d.Trace.events with
-                  | None ->
-                    Format.printf "critical path:   (no completed transfers)@."
-                  | Some cp ->
-                    let attributed = Critpath.attributed_total cp in
-                    Format.printf
-                      "critical path:   ends at t%d; %s attributed of %s makespan@."
-                      cp.Critpath.critical_transfer (Units.time_pp attributed)
-                      (Units.time_pp cp.Critpath.makespan);
-                    Table.print
-                      ~header:[ "where the time went"; "seconds"; "share" ]
-                      (List.map
-                         (fun (c, v) ->
-                           [
-                             Critpath.category_name c;
-                             Units.time_pp v;
-                             Table.cell_percent
-                               (if cp.Critpath.makespan > 0. then
-                                  v /. cp.Critpath.makespan
-                                else 0.);
-                           ])
-                         cp.Critpath.totals);
-                    if cp.Critpath.per_phase <> [] then begin
-                      Format.printf "per collective phase:@.";
-                      Table.print
-                        ~header:[ "phase"; "seconds"; "share" ]
-                        (List.map
-                           (fun (phase, cats) ->
-                             let v =
-                               List.fold_left (fun acc (_, w) -> acc +. w) 0. cats
-                             in
-                             [
-                               phase;
-                               Units.time_pp v;
-                               Table.cell_percent
-                                 (if cp.Critpath.makespan > 0. then
-                                    v /. cp.Critpath.makespan
-                                  else 0.);
-                             ])
-                           cp.Critpath.per_phase)
-                    end;
-                    let top_links =
-                      List.filteri (fun i _ -> i < top) cp.Critpath.per_link
-                    in
-                    if top_links <> [] then begin
-                      Format.printf
-                        "top critical links (busy over [0, %s], # >=75%% busy):@."
-                        (Units.time_pp sim.Engine.finish_time);
-                      List.iter
-                        (fun (l, cats) ->
-                          let v =
-                            List.fold_left (fun acc (_, w) -> acc +. w) 0. cats
-                          in
-                          Format.printf "  %-18s |%s| %s on path@." (link_label l)
-                            (gantt sim.Engine.finish_time
-                               sim.Engine.link_intervals.(l))
-                            (Units.time_pp v))
-                        top_links
-                    end);
-                  (match out with
-                  | "-" -> ()
-                  | file ->
-                    Format.printf
-                      "trace written to %s (load in Perfetto / chrome://tracing)@."
-                        file);
-                  `Ok ())))
+                  List.iter
+                    (fun (l, cats) ->
+                      let v =
+                        List.fold_left (fun acc (_, w) -> acc +. w) 0. cats
+                      in
+                      Format.printf "  %-18s |%s| %s on path@." (link_label l)
+                        (gantt sim.Engine.finish_time
+                           sim.Engine.link_intervals.(l))
+                        (Units.time_pp v))
+                    top_links
+                end);
+              (match out with
+              | "-" -> ()
+              | file ->
+                Format.printf
+                  "trace written to %s (load in Perfetto / chrome://tracing)@."
+                    file);
+              `Ok ())
   in
   let term =
     Term.(

@@ -297,6 +297,11 @@ let evicted t =
   Mutex.unlock t.lock;
   n
 
+(* The default miss backend. Servers inject their own (deadline-carrying)
+   backend via [?synthesize]. *)
+let default_backend ~seed ~domains topo spec =
+  Router.dispatch ~seed ~domains topo spec
+
 (* Single-flight lookup. Under [t.lock], a request either hits the
    completed table, joins an in-flight synthesis for the same key (and
    blocks until the owner publishes), or claims ownership by installing
@@ -305,15 +310,6 @@ let evicted t =
    publishes under the lock and broadcasts. N concurrent identical
    requests therefore run exactly one synthesis; the N-1 joiners are
    counted under [registry.inflight_joins] and report [`Hit]. *)
-(* The default miss backend: routed patterns go through [Router], the rest
-   through [Synthesizer]. Servers inject their own (deadline-carrying)
-   backend via [?synthesize]. *)
-let default_backend ~seed ~domains topo (spec : Spec.t) =
-  match spec.pattern with
-  | Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _ ->
-    Router.synthesize ~seed topo spec
-  | _ -> Synthesizer.synthesize ~seed ~domains topo spec
-
 let find_or_synthesize ?(seed = 42) ?(domains = 1) ?(synthesize = default_backend)
     ?variant t topo (spec : Spec.t) =
   let k = key ?variant topo spec in

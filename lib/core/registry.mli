@@ -56,8 +56,7 @@ val find_or_synthesize :
   Spec.t ->
   Synthesizer.result * [ `Hit | `Miss ]
 (** Return the cached schedule for this (topology, spec) or synthesize,
-    cache, and return it. By default routed patterns (All-to-All, Gather,
-    Scatter) go through {!Router}, everything else through {!Synthesizer}
+    cache, and return it. By default the miss runs {!Router.dispatch}
     (with [domains] forwarded, spreading synthesis trials over the shared
     {!Tacos_util.Pool}); [synthesize] replaces that miss backend — the
     serving layer injects one that carries the request deadline. Disk

@@ -193,3 +193,21 @@ let synthesize ?(seed = 42) topo (spec : Spec.t) =
         trials = 1;
       };
   }
+
+let dispatch ?seed ?trials ?domains ?deadline ?sketch topo (spec : Spec.t) =
+  match spec.pattern with
+  | Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _ ->
+    if Option.is_some sketch then
+      raise
+        (Synthesizer.Unsupported
+           (Pattern.name spec.pattern
+           ^ ": sketches constrain the matching loop only"));
+    (* Routing has no round loop to poll, so an already-expired deadline
+       refuses the request up front — the caller degrades exactly as it
+       would for a matcher synthesis that ran out of time. *)
+    (match deadline with
+    | Some d when Tacos_util.Deadline.expired d ->
+      raise Synthesizer.Deadline_exceeded
+    | _ -> ());
+    synthesize ?seed topo spec
+  | _ -> Synthesizer.synthesize ?seed ?trials ?domains ?deadline ?sketch topo spec

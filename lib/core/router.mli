@@ -39,3 +39,21 @@ val synthesize : ?seed:int -> Topology.t -> Spec.t -> Synthesizer.result
     (the root's chunks out to their owners). Raises [Invalid_argument] for
     other patterns — the matching loop ({!Synthesizer.synthesize}) covers
     those. *)
+
+val dispatch :
+  ?seed:int ->
+  ?trials:int ->
+  ?domains:int ->
+  ?deadline:Tacos_util.Deadline.t ->
+  ?sketch:Synthesizer.constraints ->
+  Topology.t ->
+  Spec.t ->
+  Synthesizer.result
+(** The one engine choice by pattern, shared by every caller that
+    synthesizes an arbitrary spec (registry and serve backends, tuner,
+    Pareto sweep, fallback ladder, CLI). Routed patterns ([All_to_all],
+    [Gather], [Scatter]) go to {!synthesize}: [trials] and [domains] do not
+    apply, an already-expired [deadline] raises
+    {!Synthesizer.Deadline_exceeded} up front, and a [sketch] raises
+    {!Synthesizer.Unsupported}. Every other pattern goes to
+    {!Synthesizer.synthesize} with all arguments passed through. *)

@@ -488,12 +488,18 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
   done;
   (Schedule.make !sends, !rounds, !matches)
 
-let synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo
+(* One full trial of a spec, returning ((schedule, phases), rounds, matches).
+   All-Reduce is its Reduce-Scatter phase followed by its All-Gather phase,
+   both drawn from the same RNG stream in that order. *)
+let rec trial ~prefer_cheap_links ?deadline ~constraints rng topo
     (spec : Spec.t) =
   match spec.pattern with
   | Pattern.All_gather | Pattern.Broadcast _ ->
-    synthesize_pull ~prefer_cheap_links ?deadline ~constraints rng topo
-      (goal_of_spec spec)
+    let sched, rounds, matches =
+      synthesize_pull ~prefer_cheap_links ?deadline ~constraints rng topo
+        (goal_of_spec spec)
+    in
+    ((sched, None), rounds, matches)
   | Pattern.Reduce_scatter | Pattern.Reduce _ ->
     (* §IV-E: synthesize the non-combining counterpart on the reversed
        topology, then mirror the schedule in time and direction. Link ids
@@ -504,8 +510,16 @@ let synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo
         (Topology.reverse topo)
         (goal_of_spec (Spec.reverse spec))
     in
-    (Schedule.reverse sched, rounds, matches)
-  | Pattern.All_reduce -> assert false (* handled by the caller *)
+    ((Schedule.reverse sched, None), rounds, matches)
+  | Pattern.All_reduce ->
+    let phase p =
+      trial ~prefer_cheap_links ?deadline ~constraints rng topo
+        (Spec.with_pattern spec p)
+    in
+    let (rs, _), r1, m1 = phase Pattern.Reduce_scatter in
+    let (ag, _), r2, m2 = phase Pattern.All_gather in
+    let ag_shifted = Schedule.shift ag rs.Schedule.makespan in
+    ((Schedule.concat rs ag, Some (rs, ag_shifted)), r1 + r2, m1 + m2)
   | Pattern.Gather _ | Pattern.Scatter _ ->
     raise
       (Unsupported
@@ -518,135 +532,76 @@ let synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo
          "All-to-All has pairwise demands the matching loop cannot pull; \
           use Tacos.Router (or Tacos.Alltoall)")
 
-(* One full trial, returning (schedule, phases, rounds, matches). *)
-let trial_untimed ~prefer_cheap_links ?deadline ~constraints rng topo
-    (spec : Spec.t) =
-  match spec.pattern with
-  | Pattern.All_reduce ->
-    let rs, r1, m1 =
-      synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo
-        (Spec.with_pattern spec Pattern.Reduce_scatter)
-    in
-    let ag, r2, m2 =
-      synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo
-        (Spec.with_pattern spec Pattern.All_gather)
-    in
-    let ag_shifted = Schedule.shift ag rs.Schedule.makespan in
-    (Schedule.concat rs ag, Some (rs, ag_shifted), r1 + r2, m1 + m2)
-  | _ ->
-    let sched, rounds, matches =
-      synthesize_simple ~prefer_cheap_links ?deadline ~constraints rng topo spec
-    in
-    (sched, None, rounds, matches)
-
-let trial ~prefer_cheap_links ?deadline ~constraints rng topo spec =
-  let ((sched, _, _, _) as result) =
-    Obs.time obs_trial_timer (fun () ->
-        trial_untimed ~prefer_cheap_links ?deadline ~constraints rng topo spec)
-  in
-  Obs.observe obs_trial_makespan sched.Schedule.makespan;
-  result
-
-let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(prefer_cheap_links = true)
-    ?deadline ?(sketch = no_constraints) topo spec =
-  if trials <= 0 then invalid_arg "Synthesizer.synthesize: trials must be positive";
-  if domains <= 0 then invalid_arg "Synthesizer.synthesize: domains must be positive";
-  if Topology.num_npus topo <> spec.Spec.npus then
-    invalid_arg "Synthesizer.synthesize: spec NPU count does not match topology";
+(* The best-of-trials fan-out behind every entry point. [setup] runs the
+   caller's own validation and shared preparation (forcing any lazy
+   topology caches before the trials share them across domains) and
+   returns the trial body: given the trial's RNG it yields
+   [(value, rounds, matches)]. Per-trial seeds are drawn from the master
+   stream up front, so the outcome is independent of how the trials are
+   spread over domains; the first trial with the lowest [makespan] wins. *)
+let best_of_trials fn ~seed ~trials ~domains ~makespan setup =
+  if trials <= 0 then invalid_arg (fn ^ ": trials must be positive");
+  if domains <= 0 then invalid_arg (fn ^ ": domains must be positive");
   let t0 = Unix.gettimeofday () in
-  (* Per-trial seeds drawn up front so the outcome is independent of how the
-     trials are spread over domains. *)
+  let body = setup () in
   let master = Rng.create seed in
   let seeds = Array.init trials (fun _ -> Int64.to_int (Rng.bits64 master)) in
-  (* Force the topology's lazy caches before sharing it across domains. *)
-  ignore (Topology.edges topo);
-  let run_trial i =
+  let run i =
     (* Stamp every Obs/Trace record of this trial — including the rounds of
        a worker domain — with the trial index, so interleaved multi-domain
        buffers stay attributable. *)
     Obs.with_trial i (fun () ->
         Trace.with_span "trial" (fun () ->
-            trial ~prefer_cheap_links ?deadline ~constraints:sketch
-              (Rng.create seeds.(i)) topo spec))
+            let ((v, _, _) as r) =
+              Obs.time obs_trial_timer (fun () -> body (Rng.create seeds.(i)))
+            in
+            Obs.observe obs_trial_makespan (makespan v);
+            r))
   in
-  let results =
-    (* Trials run on the shared pool so trial- and group-parallelism draw
-       from one worker budget; results are consumed in index order, so the
-       merge below never depends on execution interleaving. *)
-    if domains = 1 || trials = 1 then Array.init trials run_trial
-    else Pool.map (Pool.global ~size:domains ()) run_trial trials
-  in
-  let rounds = ref 0 and matches = ref 0 in
-  Array.iter
-    (fun (_, _, r, m) ->
-      rounds := !rounds + r;
-      matches := !matches + m)
-    results;
-  let best = ref 0 in
+  let results = Pool.init ~domains trials run in
+  let best = ref 0 and rounds = ref 0 and matches = ref 0 in
   Array.iteri
-    (fun i (sched, _, _, _) ->
-      let (best_sched, _, _, _) = results.(!best) in
-      if sched.Schedule.makespan < best_sched.Schedule.makespan then best := i)
+    (fun i (v, r, m) ->
+      rounds := !rounds + r;
+      matches := !matches + m;
+      let best_v, _, _ = results.(!best) in
+      if makespan v < makespan best_v then best := i)
     results;
-  let schedule, phases, _, _ = results.(!best) in
+  let v, _, _ = results.(!best) in
   let wall_seconds = Unix.gettimeofday () -. t0 in
-  {
-    spec;
-    schedule;
-    collective_time = schedule.Schedule.makespan;
-    phases;
-    stats = { wall_seconds; rounds = !rounds; matches = !matches; trials };
-  }
+  (v, { wall_seconds; rounds = !rounds; matches = !matches; trials })
+
+let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(prefer_cheap_links = true)
+    ?deadline ?(sketch = no_constraints) topo spec =
+  let (schedule, phases), stats =
+    best_of_trials "Synthesizer.synthesize" ~seed ~trials ~domains
+      ~makespan:(fun (s, _) -> s.Schedule.makespan)
+      (fun () ->
+        if Topology.num_npus topo <> spec.Spec.npus then
+          invalid_arg
+            "Synthesizer.synthesize: spec NPU count does not match topology";
+        ignore (Topology.edges topo);
+        fun rng ->
+          trial ~prefer_cheap_links ?deadline ~constraints:sketch rng topo spec)
+  in
+  { spec; schedule; collective_time = schedule.Schedule.makespan; phases; stats }
 
 let synthesize_goal ?(seed = 42) ?(trials = 1) ?(domains = 1)
     ?(prefer_cheap_links = true) ?deadline ?reuse ?(dead = []) ?(slowed = [])
     topo goal =
-  if trials <= 0 then
-    invalid_arg "Synthesizer.synthesize_goal: trials must be positive";
-  if domains <= 0 then
-    invalid_arg "Synthesizer.synthesize_goal: domains must be positive";
-  if goal.partials <> [] then
-    invalid_arg
-      "Synthesizer.synthesize_goal: goal carries partial sums; use \
-       synthesize_goal_plan";
-  validate_goal ~num_npus:(Topology.num_npus topo) goal;
-  let t0 = Unix.gettimeofday () in
-  let master = Rng.create seed in
-  let seeds = Array.init trials (fun _ -> Int64.to_int (Rng.bits64 master)) in
-  ignore (Topology.edges topo);
-  let run_trial i =
-    Obs.with_trial i (fun () ->
-        Trace.with_span "trial" (fun () ->
-            let ((sched, _, _) as r) =
-              Obs.time obs_trial_timer (fun () ->
-                  if Option.is_some reuse then Obs.incr obs_ten_reuse;
-                  synthesize_pull ~prefer_cheap_links ?deadline ?reuse ~dead
-                    ~slowed (Rng.create seeds.(i)) topo goal)
-            in
-            Obs.observe obs_trial_makespan sched.Schedule.makespan;
-            r))
-  in
-  let results =
-    if domains = 1 || trials = 1 then Array.init trials run_trial
-    else Pool.map (Pool.global ~size:domains ()) run_trial trials
-  in
-  let rounds = ref 0 and matches = ref 0 in
-  Array.iter
-    (fun (_, r, m) ->
-      rounds := !rounds + r;
-      matches := !matches + m)
-    results;
-  (* Lowest makespan wins; ties break to the earliest trial index, exactly
-     as the sequential loop did. *)
-  let best = ref 0 in
-  Array.iteri
-    (fun i (sched, _, _) ->
-      let best_sched, _, _ = results.(!best) in
-      if sched.Schedule.makespan < best_sched.Schedule.makespan then best := i)
-    results;
-  let schedule, _, _ = results.(!best) in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
-  (schedule, { wall_seconds; rounds = !rounds; matches = !matches; trials })
+  best_of_trials "Synthesizer.synthesize_goal" ~seed ~trials ~domains
+    ~makespan:(fun s -> s.Schedule.makespan)
+    (fun () ->
+      if goal.partials <> [] then
+        invalid_arg
+          "Synthesizer.synthesize_goal: goal carries partial sums; use \
+           synthesize_goal_plan";
+      validate_goal ~num_npus:(Topology.num_npus topo) goal;
+      ignore (Topology.edges topo);
+      fun rng ->
+        if Option.is_some reuse then Obs.incr obs_ten_reuse;
+        synthesize_pull ~prefer_cheap_links ?deadline ?reuse ~dead ~slowed rng
+          topo goal)
 
 (* --- reduction-aware plan synthesis ------------------------------------ *)
 
@@ -805,12 +760,11 @@ let relay_closure exp ~dead_mask ~dest holders =
 let synthesize_goal_plan ?(seed = 42) ?(trials = 1) ?(domains = 1)
     ?(prefer_cheap_links = true) ?deadline ?reuse ?(dead = []) ?(slowed = [])
     topo goal =
-  if trials <= 0 then
-    invalid_arg "Synthesizer.synthesize_goal_plan: trials must be positive";
-  if domains <= 0 then
-    invalid_arg "Synthesizer.synthesize_goal_plan: domains must be positive";
+  best_of_trials "Synthesizer.synthesize_goal_plan" ~seed ~trials ~domains
+    ~makespan:(fun p ->
+      Float.max p.combining.Schedule.makespan p.pull.Schedule.makespan)
+  @@ fun () ->
   validate_goal ~num_npus:(Topology.num_npus topo) goal;
-  let t0 = Unix.gettimeofday () in
   let exp =
     match reuse with Some e -> e | None -> Ten.Expansion.prepare topo
   in
@@ -878,55 +832,24 @@ let synthesize_goal_plan ?(seed = 42) ?(trials = 1) ?(domains = 1)
   let rtopo = Ten.Expansion.topology rexp in
   ignore (Topology.edges topo);
   ignore (Topology.edges rtopo);
-  let master = Rng.create seed in
-  let seeds = Array.init trials (fun _ -> Int64.to_int (Rng.bits64 master)) in
   let need_combine = !combine_post <> [] in
-  let run_trial i =
-    Obs.with_trial i (fun () ->
-        Trace.with_span "trial" (fun () ->
-            Obs.time obs_trial_timer (fun () ->
-                if Option.is_some reuse then Obs.incr obs_ten_reuse;
-                let rng = Rng.create seeds.(i) in
-                let combining, r1, m1 =
-                  if not need_combine then (Schedule.empty, 0, 0)
-                  else
-                    let s, r, m =
-                      synthesize_pull ~prefer_cheap_links ?deadline ~reuse:rexp
-                        ~dead ~slowed rng rtopo combine_goal
-                    in
-                    (Schedule.reverse s, r, m)
-                in
-                let spread, r2, m2 =
-                  synthesize_pull ~prefer_cheap_links ?deadline ~reuse:exp ~dead
-                    ~slowed rng topo spread_goal
-                in
-                let pull = Schedule.shift spread combining.Schedule.makespan in
-                let plan = { combining; pull } in
-                let makespan =
-                  Float.max combining.Schedule.makespan pull.Schedule.makespan
-                in
-                Obs.observe obs_trial_makespan makespan;
-                (plan, makespan, r1 + r2, m1 + m2))))
-  in
-  let results =
-    if domains = 1 || trials = 1 then Array.init trials run_trial
-    else Pool.map (Pool.global ~size:domains ()) run_trial trials
-  in
-  let rounds = ref 0 and matches = ref 0 in
-  Array.iter
-    (fun (_, _, r, m) ->
-      rounds := !rounds + r;
-      matches := !matches + m)
-    results;
-  let best = ref 0 in
-  Array.iteri
-    (fun i (_, makespan, _, _) ->
-      let _, best_ms, _, _ = results.(!best) in
-      if makespan < best_ms then best := i)
-    results;
-  let plan, _, _, _ = results.(!best) in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
-  (plan, { wall_seconds; rounds = !rounds; matches = !matches; trials })
+  fun rng ->
+    if Option.is_some reuse then Obs.incr obs_ten_reuse;
+    let combining, r1, m1 =
+      if not need_combine then (Schedule.empty, 0, 0)
+      else
+        let s, r, m =
+          synthesize_pull ~prefer_cheap_links ?deadline ~reuse:rexp ~dead
+            ~slowed rng rtopo combine_goal
+        in
+        (Schedule.reverse s, r, m)
+    in
+    let spread, r2, m2 =
+      synthesize_pull ~prefer_cheap_links ?deadline ~reuse:exp ~dead ~slowed rng
+        topo spread_goal
+    in
+    let pull = Schedule.shift spread combining.Schedule.makespan in
+    ({ combining; pull }, r1 + r2, m1 + m2)
 
 let verify topo result =
   match result.spec.Spec.pattern with

@@ -24,9 +24,9 @@ open Tacos_collective
     followed by an All-Gather phase.
 
     The matching loop is the event-driven generalization of the span-discrete
-    formulation in the paper (which {!Reference} implements literally): on a
-    homogeneous topology every link costs the same, event times collapse onto
-    the span grid, and the two coincide. *)
+    formulation in the paper (which the test suite's [Reference] oracle
+    transcribes literally): on a homogeneous topology every link costs the
+    same, event times collapse onto the span grid, and the two coincide. *)
 
 type stats = {
   wall_seconds : float;  (** synthesis wall-clock time *)

@@ -24,11 +24,7 @@ let sweep ?(seed = 42) ?(domains = 1) ?(candidates = [ 1; 2; 4; 8; 16 ])
     match synthesize with
     | Some f -> f
     | None ->
-      fun ~seed topo spec ->
-        (match (spec : Spec.t).pattern with
-        | Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _ ->
-          Router.synthesize ~seed topo spec
-        | _ -> Synthesizer.synthesize ~seed ~domains topo spec)
+      fun ~seed topo spec -> Router.dispatch ~seed ~domains topo spec
   in
   List.map
     (fun chunks_per_npu ->

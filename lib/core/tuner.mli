@@ -48,8 +48,8 @@ val tune :
     pool); a custom [synthesize] backend receives only [seed] and should
     capture its own parallelism settings. [synthesize] swaps the backend
     the candidates are synthesized with — the hierarchical group planner
-    ([Tacos_groups.Plan]) plugs in here; the default dispatches to
-    {!Router}/{!Synthesizer} as above. *)
+    ([Tacos_groups.Plan]) plugs in here; the default is
+    {!Router.dispatch}. *)
 
 val simulated_time : Topology.t -> Synthesizer.result -> float
 (** Replay a synthesis result under the simulator backend (the paper's

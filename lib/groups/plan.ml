@@ -59,7 +59,6 @@ let c_groups = Obs.counter "groups.groups"
 let c_phases = Obs.counter "groups.phases"
 let c_syntheses = Obs.counter "groups.syntheses"
 let c_dedup = Obs.counter "groups.dedup_hits"
-let c_inflight_joins = Obs.counter "groups.inflight_joins"
 let t_phase_synth = Obs.timer "groups.phase_synth_seconds"
 let t_validate = Obs.timer "groups.validate_seconds"
 let t_lift = Obs.timer "groups.lift_seconds"
@@ -75,29 +74,11 @@ let sub_key (group : Group.t) (spec : Spec.t) =
 
 type ctx = {
   cache : (string, Synthesizer.result) Hashtbl.t;
-  inflight : (string, Synthesizer.result Pool.future) Hashtbl.t;
-  lock : Mutex.t;
-  pool : Pool.t option;  (** [Some] iff [domains > 1] *)
   domains : int;
   seed : int;
   trials : int;
   prefer_cheap_links : bool;
 }
-
-(* A phase element's sub-synthesis, split into a start half (dispatch) and
-   a join half (collect) so a phase can start every distinct sub-synthesis
-   on the pool before collecting any. Starts are issued sequentially by
-   the coordinating domain, so which element owns a key (and which ones
-   dedup against it) is a function of element order alone — the `Hit/`Miss
-   attribution, and with it every phase_info row, is bit-identical to the
-   sequential path. *)
-type sub_handle =
-  | Ready of Synthesizer.result * [ `Hit | `Miss ]
-      (** served from cache, or computed inline (sequential path) *)
-  | Join of Synthesizer.result Pool.future
-      (** single-flight dedup against another element's in-flight synthesis *)
-  | Own of string * Synthesizer.result Pool.future
-      (** this element runs the synthesis; publish under the key on join *)
 
 let run_synth ctx (group : Group.t) spec =
   Obs.time t_phase_synth (fun () ->
@@ -105,83 +86,74 @@ let run_synth ctx (group : Group.t) spec =
         ~domains:ctx.domains ~prefer_cheap_links:ctx.prefer_cheap_links
         group.Group.topo spec)
 
-let start_sub ctx (group : Group.t) spec =
-  let k = sub_key group spec in
-  match ctx.pool with
-  | None -> (
-    match Hashtbl.find_opt ctx.cache k with
-    | Some r -> Ready (r, `Hit)
-    | None ->
-      let r = run_synth ctx group spec in
-      Hashtbl.add ctx.cache k r;
-      Ready (r, `Miss))
-  | Some pool -> (
-    Mutex.lock ctx.lock;
-    match Hashtbl.find_opt ctx.cache k with
-    | Some r ->
-      Mutex.unlock ctx.lock;
-      Ready (r, `Hit)
-    | None -> (
-      match Hashtbl.find_opt ctx.inflight k with
-      | Some fut ->
-        Mutex.unlock ctx.lock;
-        Obs.incr c_inflight_joins;
-        Join fut
-      | None ->
-        let fut = Pool.submit pool (fun () -> run_synth ctx group spec) in
-        Hashtbl.add ctx.inflight k fut;
-        Mutex.unlock ctx.lock;
-        Own (k, fut)))
-
-let join_sub ctx handle =
-  match handle with
-  | Ready (r, `Hit) ->
-    Obs.incr c_dedup;
-    (r, `Hit)
-  | Ready (r, `Miss) ->
-    Obs.incr c_syntheses;
-    (r, `Miss)
-  | Join fut ->
-    let r = Pool.await (Option.get ctx.pool) fut in
-    Obs.incr c_dedup;
-    (r, `Hit)
-  | Own (k, fut) ->
-    let r = Pool.await (Option.get ctx.pool) fut in
-    Mutex.lock ctx.lock;
-    Hashtbl.replace ctx.cache k r;
-    Hashtbl.remove ctx.inflight k;
-    Mutex.unlock ctx.lock;
-    Obs.incr c_syntheses;
-    (r, `Miss)
-
-(* Start every element of a phase, then collect in element order. *)
+(* Synthesize (deduped) every element of a phase. The coordinating domain
+   walks the elements in order and classifies each one as a cache hit, the
+   first owner of its key, or a repeat of an earlier owner; only the
+   distinct owners run, fanned out with [Pool.init]. Ownership — and with
+   it every [`Hit]/[`Miss] and phase_info row — is therefore a function of
+   element order alone, the same at every [domains]. *)
 let synth_parts ctx elements =
-  let handles =
-    List.map (fun (group, spec, _) -> start_sub ctx group spec) elements
+  let owners = Hashtbl.create 8 and jobs = ref [] in
+  let slots =
+    List.map
+      (fun (group, spec, _) ->
+        let k = sub_key group spec in
+        match Hashtbl.find_opt ctx.cache k with
+        | Some r -> `Cached r
+        | None -> (
+          match Hashtbl.find_opt owners k with
+          | Some i -> `Run (i, `Hit)
+          | None ->
+            let i = Hashtbl.length owners in
+            Hashtbl.add owners k i;
+            jobs := (k, group, spec) :: !jobs;
+            `Run (i, `Miss)))
+      elements
   in
+  let jobs = Array.of_list (List.rev !jobs) in
+  let results =
+    Pool.init ~domains:ctx.domains (Array.length jobs) (fun i ->
+        let _, group, spec = jobs.(i) in
+        run_synth ctx group spec)
+  in
+  Array.iteri (fun i (k, _, _) -> Hashtbl.replace ctx.cache k results.(i)) jobs;
   List.map2
-    (fun (group, _, chunk_map) handle ->
-      let r, outcome = join_sub ctx handle in
+    (fun (group, _, chunk_map) slot ->
+      let r, outcome =
+        match slot with
+        | `Cached r -> (r, `Hit)
+        | `Run (i, outcome) -> (results.(i), outcome)
+      in
+      Obs.incr (if outcome = `Hit then c_dedup else c_syntheses);
       (group, chunk_map, r, outcome))
-    elements handles
+    elements slots
 
-(* One phase: synthesize (deduped) each part, lift every part's schedule to
-   start at [offset], and account. Returns the lifted sends, the phase's
-   completion time, and its info row. *)
-let run_phase ctx ~phase ~offset elements =
-  let parts = synth_parts ctx elements in
+(* Lift every part's schedule to start at [offset]; the phase ends with its
+   slowest part. *)
+let lift_at offset parts =
+  let sends =
+    List.concat_map
+      (fun (group, chunk_map, (r : Synthesizer.result)) ->
+        Compose.lift group ~chunk_map ~offset r.schedule)
+      parts
+  in
   let finish =
     List.fold_left
-      (fun acc (_, _, (r : Synthesizer.result), _) ->
+      (fun acc (_, _, (r : Synthesizer.result)) ->
         Float.max acc (offset +. r.schedule.Schedule.makespan))
       offset parts
   in
-  let sends =
+  (sends, finish)
+
+(* One phase: synthesize (deduped) each part, [lift] the parts into the
+   composed timeline (returning the lifted sends and the phase's completion
+   time), and account. Returns the lifted sends, the completion time, and
+   the phase's info row. *)
+let run_phase ctx ~phase ~offset ~lift elements =
+  let parts = synth_parts ctx elements in
+  let lifted, finish =
     Obs.time t_lift (fun () ->
-        List.concat_map
-          (fun (group, chunk_map, (r : Synthesizer.result), _) ->
-            Compose.lift group ~chunk_map ~offset r.schedule)
-          parts)
+        lift (List.map (fun (g, chunk_map, r, _) -> (g, chunk_map, r)) parts))
   in
   let syntheses, dedup_hits, wall =
     List.fold_left
@@ -211,7 +183,7 @@ let run_phase ctx ~phase ~offset elements =
       ("wall_seconds", Tacos_util.Json.Number wall);
       ("makespan", Tacos_util.Json.Number info.makespan);
     ];
-  (sends, finish, info)
+  (lifted, finish, info)
 
 (* --- decomposition ----------------------------------------------------- *)
 
@@ -236,18 +208,11 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
   (* Phases stay sequential — only the sub-syntheses *within* a phase fan
      out — so cross-phase cache hits land exactly where the sequential path
      puts them. *)
-  let pool = if domains = 1 then None else Some (Pool.global ~size:domains ()) in
   let ctx =
-    {
-      cache = Hashtbl.create 16;
-      inflight = Hashtbl.create 8;
-      lock = Mutex.create ();
-      pool;
-      domains;
-      seed;
-      trials;
-      prefer_cheap_links;
-    }
+    { cache = Hashtbl.create 16; domains; seed; trials; prefer_cheap_links }
+  in
+  let phase name ~offset elements =
+    run_phase ctx ~phase:name ~offset ~lift:(lift_at offset) elements
   in
 
   (* Chunk maps, local id → global id. Owner-based global chunk ids are
@@ -328,118 +293,94 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
     }
   in
 
+  let assemble phases =
+    Obs.time t_assemble (fun () -> Compose.assemble phases)
+  in
   match spec.Spec.pattern with
   | Pattern.All_gather ->
-    let s1, t1, i1 = run_phase ctx ~phase:"inter-all-gather" ~offset:0. (inter_elems Pattern.All_gather) in
-    let s2, _, i2 = run_phase ctx ~phase:"intra-all-gather" ~offset:t1 (intra_elems Pattern.All_gather) in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble [ s1; s2 ])) None [ i1; i2 ]
+    let s1, t1, i1 = phase "inter-all-gather" ~offset:0. (inter_elems Pattern.All_gather) in
+    let s2, _, i2 = phase "intra-all-gather" ~offset:t1 (intra_elems Pattern.All_gather) in
+    finish (assemble [ s1; s2 ]) None [ i1; i2 ]
   | Pattern.Reduce_scatter ->
-    let s1, t1, i1 = run_phase ctx ~phase:"intra-reduce-scatter" ~offset:0. (intra_elems Pattern.Reduce_scatter) in
-    let s2, _, i2 = run_phase ctx ~phase:"inter-reduce-scatter" ~offset:t1 (inter_elems Pattern.Reduce_scatter) in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble [ s1; s2 ])) None [ i1; i2 ]
+    let s1, t1, i1 = phase "intra-reduce-scatter" ~offset:0. (intra_elems Pattern.Reduce_scatter) in
+    let s2, _, i2 = phase "inter-reduce-scatter" ~offset:t1 (inter_elems Pattern.Reduce_scatter) in
+    finish (assemble [ s1; s2 ]) None [ i1; i2 ]
   | Pattern.Broadcast root ->
     let g0, r0 = locate root in
     let slice = List.nth slices r0 in
     let s1, t1, i1 =
-      run_phase ctx ~phase:"inter-broadcast" ~offset:0.
+      phase "inter-broadcast" ~offset:0.
         [ (slice, rooted_spec (Pattern.Broadcast g0) g, identity) ]
     in
     let s2, _, i2 =
-      run_phase ctx ~phase:"intra-broadcast" ~offset:t1
+      phase "intra-broadcast" ~offset:t1
         (List.map (fun gr -> (gr, rooted_spec (Pattern.Broadcast r0) m, identity)) groups)
     in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble [ s1; s2 ])) None [ i1; i2 ]
+    finish (assemble [ s1; s2 ]) None [ i1; i2 ]
   | Pattern.Reduce root ->
     let g0, r0 = locate root in
     let slice = List.nth slices r0 in
     let s1, t1, i1 =
-      run_phase ctx ~phase:"intra-reduce" ~offset:0.
+      phase "intra-reduce" ~offset:0.
         (List.map (fun gr -> (gr, rooted_spec (Pattern.Reduce r0) m, identity)) groups)
     in
     let s2, _, i2 =
-      run_phase ctx ~phase:"inter-reduce" ~offset:t1
+      phase "inter-reduce" ~offset:t1
         [ (slice, rooted_spec (Pattern.Reduce g0) g, identity) ]
     in
-    finish (Obs.time t_assemble (fun () -> Compose.assemble [ s1; s2 ])) None [ i1; i2 ]
+    finish (assemble [ s1; s2 ]) None [ i1; i2 ]
   | Pattern.All_reduce ->
     let s1, t1, i1 =
-      run_phase ctx ~phase:"intra-reduce-scatter" ~offset:0.
-        (intra_elems Pattern.Reduce_scatter)
+      phase "intra-reduce-scatter" ~offset:0. (intra_elems Pattern.Reduce_scatter)
     in
     (* Inter All-Reduce per slice, each carrying its own (RS, AG) split.
        The slice All-Gathers are barrier-aligned at the slowest slice
        Reduce-Scatter so the composed schedule has one global RS|AG
        boundary for validate_all_reduce; delaying an AG phase is always
        causally safe. *)
-    let parts =
-      List.map
-        (fun (sl, _, r, outcome) ->
-          let rs, ag =
-            match (r : Synthesizer.result).Synthesizer.phases with
-            | Some (rs, ag) -> (rs, ag)
-            | None -> assert false (* the synthesizer always splits All-Reduce *)
-          in
-          (sl, r, rs, ag, outcome))
-        (synth_parts ctx
-           (List.map
-              (fun sl -> (sl, inter_spec Pattern.All_reduce, slice_map sl))
-              slices))
+    let lift_split parts =
+      let parts =
+        List.map
+          (fun (sl, chunk_map, (r : Synthesizer.result)) ->
+            match r.Synthesizer.phases with
+            | Some (rs, ag) -> (sl, chunk_map, rs, ag)
+            | None ->
+              raise
+                (Synthesizer.Unsupported
+                   "Plan.synthesize: inter-all-reduce part carries no RS/AG split"))
+          parts
+      in
+      let rs_end =
+        List.fold_left
+          (fun acc (_, _, (rs : Schedule.t), _) ->
+            Float.max acc (t1 +. rs.Schedule.makespan))
+          t1 parts
+      in
+      let rs_sends =
+        List.concat_map
+          (fun (sl, chunk_map, rs, _) -> Compose.lift sl ~chunk_map ~offset:t1 rs)
+          parts
+      in
+      let ag_end = ref rs_end in
+      let ag_sends =
+        List.concat_map
+          (fun (sl, chunk_map, (rs : Schedule.t), (ag : Schedule.t)) ->
+            let offset = rs_end -. rs.Schedule.makespan in
+            ag_end := Float.max !ag_end (offset +. ag.Schedule.makespan);
+            Compose.lift sl ~chunk_map ~offset ag)
+          parts
+      in
+      ((rs_sends, ag_sends), !ag_end)
     in
-    let max_rs =
-      List.fold_left
-        (fun acc (_, _, (rs : Schedule.t), _, _) -> Float.max acc rs.Schedule.makespan)
-        0. parts
+    let (rs_sends, ag_sends), t2, i2 =
+      run_phase ctx ~phase:"inter-all-reduce" ~offset:t1 ~lift:lift_split
+        (inter_elems Pattern.All_reduce)
     in
-    let rs_sends =
-      Obs.time t_lift (fun () ->
-          List.concat_map
-            (fun (sl, _, rs, _, _) ->
-              Compose.lift sl ~chunk_map:(slice_map sl) ~offset:t1 rs)
-            parts)
-    in
-    let t2 = ref (t1 +. max_rs) in
-    let ag_sends =
-      List.concat_map
-        (fun (sl, _, (rs : Schedule.t), (ag : Schedule.t), _) ->
-          let offset = t1 +. max_rs -. rs.Schedule.makespan in
-          t2 := Float.max !t2 (offset +. ag.Schedule.makespan);
-          Compose.lift sl ~chunk_map:(slice_map sl) ~offset ag)
-        parts
-    in
-    let syntheses, dedup_hits, wall =
-      List.fold_left
-        (fun (s, d, w) (_, (r : Synthesizer.result), _, _, outcome) ->
-          match outcome with
-          | `Miss -> (s + 1, d, w +. r.stats.Synthesizer.wall_seconds)
-          | `Hit -> (s, d + 1, w))
-        (0, 0, 0.) parts
-    in
-    let i2 =
-      {
-        phase = "inter-all-reduce";
-        parts = List.length parts;
-        syntheses;
-        dedup_hits;
-        wall_seconds = wall;
-        makespan = !t2 -. t1;
-      }
-    in
-    Obs.incr c_phases;
-    Obs.trace "groups.phase"
-      [
-        ("phase", Tacos_util.Json.String i2.phase);
-        ("parts", Tacos_util.Json.Number (float_of_int i2.parts));
-        ("syntheses", Tacos_util.Json.Number (float_of_int syntheses));
-        ("dedup_hits", Tacos_util.Json.Number (float_of_int dedup_hits));
-        ("wall_seconds", Tacos_util.Json.Number wall);
-        ("makespan", Tacos_util.Json.Number i2.makespan);
-      ];
-    let s3, _, i3 =
-      run_phase ctx ~phase:"intra-all-gather" ~offset:!t2 (intra_elems Pattern.All_gather)
-    in
-    (* Every all-gather send starts at or after [t1 + max_rs], i.e. no
-       earlier than any reduce-scatter send, so the composed schedule is
-       the O(n) ordered union of the two halves — no third full sort. *)
+    let s3, _, i3 = phase "intra-all-gather" ~offset:t2 (intra_elems Pattern.All_gather) in
+    (* Every all-gather send starts at or after the slowest slice
+       Reduce-Scatter's end, i.e. no earlier than any reduce-scatter send,
+       so the composed schedule is the O(n) ordered union of the two
+       halves — no third full sort. *)
     let rs_part, ag_part, composed =
       Obs.time t_assemble (fun () ->
           let rs_part = Schedule.make (s1 @ rs_sends) in

@@ -78,13 +78,14 @@ val synthesize :
     [Tacos.Synthesizer.Unsupported] for patterns without a group decomposition
     (All-to-All, Gather, Scatter), and propagates [Tacos.Synthesizer.Stuck].
 
-    [domains] (default 1) fans each phase's distinct sub-syntheses out on
-    the shared {!Tacos_util.Pool} (grown to at least [domains] workers) and
-    passes [domains] down to each flat synthesis, so group- and
-    trial-parallelism draw from one worker budget. Concurrent identical
-    sub-problems are single-flight: the first element to need a key runs
-    the synthesis, later elements join its in-flight future (counted under
-    the [groups.inflight_joins] obs counter and reported as dedup hits).
-    Sub-results are composed in element order and phases stay sequential,
-    so the composed schedule, phase splits, and every phase_info row
-    (wall-clock aside) are bit-identical to [~domains:1]. *)
+    [domains] (default 1) fans each phase's distinct sub-syntheses out
+    with {!Tacos_util.Pool.init} and passes [domains] down to each flat
+    synthesis, so group- and trial-parallelism draw from one worker budget.
+    Dedup is decided before anything runs: the calling domain walks a
+    phase's elements in order and marks each as a cache hit, the first
+    owner of its key, or a repeat of an earlier owner (hits and repeats
+    are reported as dedup hits); only the owners synthesize. Ownership
+    therefore depends on element order alone, sub-results are composed in
+    element order, and phases stay sequential, so the composed schedule,
+    phase splits, and every phase_info row (wall-clock aside) are
+    bit-identical to [~domains:1]. *)

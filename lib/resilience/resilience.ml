@@ -117,9 +117,8 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1) ?(budget_ms = infinity)
        absorbs at this rung ([Unsupported] is about the pattern, not the
        fabric — reseeding cannot help, so it drops straight to baselines). *)
     let attempt s =
-      if spec.Spec.pattern = Pattern.All_to_all then
-        Tacos.Alltoall.synthesize ~seed:s degraded spec
-      else Synth.synthesize ~seed:s ~trials ~domains ?deadline:eff_deadline degraded spec
+      Tacos.Router.dispatch ~seed:s ~trials ~domains ?deadline:eff_deadline
+        degraded spec
     in
     let finish ~retries ~rungs plan =
       let simulated_time =
@@ -447,12 +446,7 @@ let repair_step ~seed ~trials ~domains ~at ~dead ~slowed ~forbidden ~degraded
         Ok (plan, stats, patch, completion)
       | exception Synth.Stuck msg -> Error msg
     in
-    let candidates =
-      if trials <= 1 then [| candidate 0 |]
-      else if domains > 1 then
-        Tacos_util.Pool.map (Tacos_util.Pool.global ~size:domains ()) candidate trials
-      else Array.init trials candidate
-    in
+    let candidates = Tacos_util.Pool.init ~domains (max 1 trials) candidate in
     let best =
       Array.fold_left
         (fun acc c ->

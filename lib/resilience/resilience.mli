@@ -82,10 +82,12 @@ val synthesize :
     (default none) are applied to [topo] first — pass the healthy topology
     and the fault set rather than pre-degrading, so failures can name the
     disconnecting fault. [max_retries] defaults to 3; [baselines]
-    defaults to {!Tacos_baselines.Algo.all}. All-to-All specs dispatch to
-    {!Tacos.Alltoall}. [domains] (default 1) parallelizes each attempt's
-    trials on the shared {!Tacos_util.Pool}; the ladder's outcome stays
-    deterministic for a given [seed]. Never raises [Stuck]/[Unsupported].
+    defaults to {!Tacos_baselines.Algo.all}. Each attempt picks its engine
+    through {!Tacos.Router.dispatch}, so All-to-All, Gather and Scatter are
+    routed rather than falling back to baselines. [domains] (default 1)
+    parallelizes each attempt's trials on the shared {!Tacos_util.Pool};
+    the ladder's outcome stays deterministic for a given [seed]. Never
+    raises [Stuck]/[Unsupported].
 
     Time bounds are {e cooperative all the way down}: [budget_ms] (default
     unlimited, relative to the call) and [deadline] (default none,

@@ -121,21 +121,11 @@ type stats = {
   disk : Registry.disk_usage;
 }
 
-(* The default miss backend: routed patterns have no round loop to poll,
-   so an already-expired deadline refuses them up front — the caller
-   degrades exactly as it would for a pull synthesis that ran out of
-   time. *)
-let default_backend ~trials ~deadline ~sketch ~seed ~domains topo
-    (spec : Spec.t) =
-  match spec.Spec.pattern with
-  | Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _ ->
-    (* Sketched routed requests never reach here: sketch compilation
-       rejects routed patterns up front with Unsupported_pattern. *)
-    (match deadline with
-    | Some d when Deadline.expired d -> raise Synth.Deadline_exceeded
-    | _ -> ());
-    Router.synthesize ~seed topo spec
-  | _ -> Synth.synthesize ~seed ~trials ~domains ?deadline ?sketch topo spec
+(* The default miss backend; [Router.dispatch] refuses routed patterns
+   whose deadline already passed, so the caller degrades exactly as it
+   would for a pull synthesis that ran out of time. *)
+let default_backend ~trials ~deadline ~sketch ~seed ~domains topo spec =
+  Router.dispatch ~seed ~trials ~domains ?deadline ?sketch topo spec
 
 let create ?(config = default_config) ?synthesize () =
   if config.queue_limit <= 0 then

@@ -78,10 +78,9 @@ type backend =
   Topology.t ->
   Spec.t ->
   Synth.result
-(** The synthesis function run on a cache miss. The default dispatches
-    routed patterns to {!Tacos.Router} and the rest to
-    {!Tacos.Synthesizer.synthesize} with the deadline and the compiled
-    communication sketch threaded through (and refuses routed syntheses
+(** The synthesis function run on a cache miss. The default is
+    {!Tacos.Router.dispatch} with the deadline and the compiled
+    communication sketch threaded through (it refuses routed syntheses
     whose deadline already passed, raising
     {!Tacos.Synthesizer.Deadline_exceeded}; sketched routed requests are
     rejected upstream at sketch compilation). Tests and benches inject

@@ -78,17 +78,11 @@ let classify points =
 let sweep ?seed ?(trials = 1) ?(domains = 1) ?candidates ?sketch topo ~pattern
     ~size =
   let synthesize ~seed topo spec =
-    match sketch with
-    | Some sk ->
-      (* Compile per candidate spec: pin chunk ids depend on the chunk
-         count, and infeasibility must surface before matching starts. *)
-      let c = Sketch.compile topo spec sk in
-      Tacos.Synthesizer.synthesize ~seed ~trials ~domains ~sketch:c topo spec
-    | None -> (
-      match (spec : Spec.t).pattern with
-      | Pattern.All_to_all | Pattern.Gather _ | Pattern.Scatter _ ->
-        Tacos.Router.synthesize ~seed topo spec
-      | _ -> Tacos.Synthesizer.synthesize ~seed ~trials ~domains topo spec)
+    (* Compile per candidate spec: pin chunk ids depend on the chunk count,
+       and infeasibility (routed patterns included) must surface before
+       matching starts. *)
+    let sketch = Option.map (Sketch.compile topo spec) sketch in
+    Tacos.Router.dispatch ~seed ~trials ~domains ?sketch topo spec
   in
   let choices =
     Tacos.Tuner.sweep ?seed ?candidates ~synthesize topo ~pattern ~size

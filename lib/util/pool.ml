@@ -109,26 +109,25 @@ let await t fut =
   let rec loop () =
     Mutex.lock t.mutex;
     match fut.state with
-    | (Done _ | Failed _) as s ->
+    | Done v ->
       Mutex.unlock t.mutex;
-      s
+      v
+    | Failed e ->
+      Mutex.unlock t.mutex;
+      raise e
     | Pending ->
       if not (Queue.is_empty t.queue) then begin
         let task = Queue.pop t.queue in
         Mutex.unlock t.mutex;
-        task ();
-        loop ()
+        task ()
       end
       else begin
         Condition.wait t.cond t.mutex;
-        Mutex.unlock t.mutex;
-        loop ()
-      end
+        Mutex.unlock t.mutex
+      end;
+      loop ()
   in
-  match loop () with
-  | Done v -> v
-  | Failed e -> raise e
-  | Pending -> assert false
+  loop ()
 
 let map t f n =
   if n <= 0 then [||]
@@ -171,3 +170,7 @@ let global ?size () =
   Mutex.unlock global_mutex;
   (match size with Some s -> grow p s | None -> ());
   p
+
+let init ~domains n f =
+  if domains <= 1 || n <= 1 then Array.init n f
+  else map (global ~size:domains ()) f n

@@ -1,10 +1,11 @@
 (** A small fixed pool of OCaml 5 domains with submit/await futures.
 
     The pool exists so every parallel axis in the synthesizer — trial
-    fan-out in {!Tacos.Synthesizer.synthesize}, per-phase sub-synthesis
-    fan-out in [Tacos_groups.Plan], and anything a caller adds on top —
+    fan-out in {!Tacos.Synthesizer}, per-phase sub-synthesis fan-out in
+    [Tacos_groups.Plan], repair trials in [Tacos_resilience.Resilience] —
     draws from {e one} worker budget instead of each spawning its own
-    domains and oversubscribing the machine.
+    domains and oversubscribing the machine. All of them go through
+    {!init}.
 
     Design points:
 
@@ -57,6 +58,13 @@ val map : t -> (int -> 'a) -> int -> 'a array
     them in index order — the deterministic fan-out primitive. The
     result array order never depends on execution interleaving.
     Concurrency is bounded by the pool's size. *)
+
+val init : domains:int -> int -> (int -> 'a) -> 'a array
+(** [init ~domains n f] is [Array.init n f], fanned out over {!global}
+    (grown to at least [domains]) when [domains > 1] and [n > 1]; inline
+    otherwise. Results come back in index order either way, so callers
+    that draw their randomness per index get the same array at every
+    [domains]. This is the library's one fan-out entry point. *)
 
 val global : ?size:int -> unit -> t
 (** The shared process-wide pool. First call creates it (sized

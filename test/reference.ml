@@ -55,7 +55,7 @@ let synthesize ?(seed = 42) topo (spec : Spec.t) =
       (Rng.shuffle_list rng !unsatisfied);
     if List.length !remaining = List.length !unsatisfied then
       raise
-        (Synthesizer.Stuck
+        (Tacos.Synthesizer.Stuck
            "reference synthesis made no progress — is the topology strongly \
             connected?");
     unsatisfied := !remaining

@@ -9,7 +9,7 @@ open Tacos_ten
     random candidate source among the destination's idle incoming links whose
     source already holds the chunk.
 
-    This exists to cross-check {!Synthesizer} (its event-driven matcher must
+    This exists to cross-check {!Tacos.Synthesizer} (its event-driven matcher must
     coincide with the span-discrete formulation when all links cost the same)
     and to render figures 7/9/10-style TEN grids. Only non-combining pull
     patterns (All-Gather, Broadcast) are supported directly, mirroring the
@@ -18,7 +18,7 @@ open Tacos_ten
 val synthesize : ?seed:int -> Topology.t -> Spec.t -> Ten.t
 (** Raises [Invalid_argument] if the topology's links do not all share one
     cost at the spec's chunk size, or the pattern is not All-Gather /
-    Broadcast. Raises {!Synthesizer.Stuck} on a non-strongly-connected
+    Broadcast. Raises {!Tacos.Synthesizer.Stuck} on a non-strongly-connected
     topology. *)
 
 val schedule : Ten.t -> Schedule.t

@@ -33,12 +33,23 @@ let test_exception_propagates () =
 
 let test_map_order () =
   let p = Pool.create ~size:4 () in
-  let out = Pool.map p (fun i -> i * i) 50 in
-  Alcotest.(check int) "length" 50 (Array.length out);
-  Array.iteri
-    (fun i v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i * i) v)
-    out;
-  Pool.shutdown p
+  let check_squares what out =
+    Alcotest.(check int) (what ^ " length") 50 (Array.length out);
+    Array.iteri
+      (fun i v ->
+        Alcotest.(check int) (Printf.sprintf "%s slot %d" what i) (i * i) v)
+      out
+  in
+  check_squares "map" (Pool.map p (fun i -> i * i) 50);
+  Pool.shutdown p;
+  (* [init] is the same contract whether it runs inline or on the global
+     pool. *)
+  List.iter
+    (fun domains ->
+      check_squares
+        (Printf.sprintf "init ~domains:%d" domains)
+        (Pool.init ~domains 50 (fun i -> i * i)))
+    [ 1; 3 ]
 
 let test_nested_submission () =
   (* A task that itself submits and awaits on the same (tiny) pool: with

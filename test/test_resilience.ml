@@ -168,16 +168,37 @@ let test_ladder_structured_failure_on_disconnected () =
           Alcotest.(check (list int)) "names the isolated NPU" [ 4 ] isolated))
     [ Pattern.All_gather; Pattern.Reduce_scatter; Pattern.All_reduce ]
 
-let test_ladder_never_raises_on_unsupported () =
-  (* Gather has no synthesizer support and no feasible baseline: the ladder
-     must end in a structured baseline-stage failure, not an exception. *)
-  let topo = Builders.ring 4 in
-  match Resilience.synthesize topo (spec (Pattern.Gather 0) 4) with
-  | Ok o -> (
-    match o.Resilience.plan with
-    | Resilience.Baseline _ -> () (* a feasible baseline is fine too *)
-    | Resilience.Synthesized _ -> Alcotest.fail "Gather is unsupported")
-  | Error f -> Alcotest.(check string) "gave up at the baseline rung" "baseline" f.Resilience.stage
+(* Every caller that synthesizes an arbitrary spec picks its engine through
+   [Router.dispatch]: All-to-All answers from the registry, the tuner and
+   the fallback ladder are the router's own schedule, and Gather — once a
+   baseline fallback here — is now routed and synthesized. *)
+let test_routed_patterns_share_one_dispatch () =
+  let topo = Builders.mesh [| 2; 3 |] in
+  let a2a = spec ~buffer_size:36. Pattern.All_to_all 6 in
+  let routed = (Tacos.Router.synthesize topo a2a).Synth.schedule in
+  let same what (r : Synth.result) =
+    Alcotest.(check bool) what true (r.Synth.schedule = routed)
+  in
+  let registry = Tacos.Registry.create () in
+  same "registry" (fst (Tacos.Registry.find_or_synthesize registry topo a2a));
+  same "tuner"
+    (Tacos.Tuner.tune ~candidates:[ 1 ] topo ~pattern:Pattern.All_to_all
+       ~size:36.)
+      .Tacos.Tuner.result;
+  let synthesized sp =
+    match Resilience.synthesize topo sp with
+    | Ok { Resilience.plan = Resilience.Synthesized r; _ } -> r
+    | Ok _ -> Alcotest.fail "fell back to a baseline"
+    | Error f -> Alcotest.failf "failed: %s" f.Resilience.message
+  in
+  same "resilience" (synthesized a2a);
+  List.iter
+    (fun pattern ->
+      let sp = spec pattern 6 in
+      match Synth.verify topo (synthesized sp) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s invalid: %s" (Pattern.name pattern) e)
+    [ Pattern.Gather 0; Pattern.Scatter 0 ]
 
 let test_ladder_baseline_fallback_feasible () =
   (* Force the synthesizer rung to fail by exhausting retries on an
@@ -316,6 +337,47 @@ let test_repair_suffix_on_mesh_allgather () =
       Alcotest.(check bool) "repair completes no later than full resynthesis" true
         (r.Resilience.completion_time
         <= at +. full.Resilience.simulated_time +. Schedule.eps_for at))
+
+(* Repair's trial fan-out draws per-index seeds, so [domains] only spreads
+   the work: the chosen patch is the same at every width. *)
+let test_repair_domains_bit_identical () =
+  let topo = Builders.mesh [| 4; 4 |] in
+  let sp = spec ~buffer_size:16e6 Pattern.All_gather 16 in
+  let healthy = Synth.synthesize ~seed:5 topo sp in
+  let at = 0.4 *. healthy.Synth.schedule.Schedule.makespan in
+  let victim =
+    match
+      List.find_opt
+        (fun (s : Schedule.send) -> s.Schedule.start > at)
+        healthy.Synth.schedule.Schedule.sends
+    with
+    | Some s -> s.Schedule.edge
+    | None -> Alcotest.fail "no send after the fault time"
+  in
+  let run domains =
+    match
+      Resilience.repair ~seed:5 ~trials:3 ~domains ~at topo
+        [ Fault.Kill_link victim ] healthy
+    with
+    | Error f -> Alcotest.failf "repair failed: %s" f.Resilience.message
+    | Ok r -> (
+      match r.Resilience.strategy with
+      | Resilience.Suffix { schedule; _ } ->
+        (Resilience.strategy_name r.Resilience.strategy, schedule.Schedule.sends,
+         r.Resilience.completion_time)
+      | s ->
+        Alcotest.failf "expected suffix repair, got %s"
+          (Resilience.strategy_name s))
+  in
+  let name1, sends1, time1 = run 1 in
+  List.iter
+    (fun d ->
+      let name, sends, time = run d in
+      let label what = Printf.sprintf "%s at domains=%d" what d in
+      Alcotest.(check string) (label "strategy") name1 name;
+      Alcotest.(check bool) (label "patch sends") true (sends = sends1);
+      Alcotest.(check (float 0.)) (label "completion time") time1 time)
+    [ 2; 4 ]
 
 let test_repair_complete_when_fault_lands_late () =
   let topo = Builders.mesh [| 3; 3 |] in
@@ -701,8 +763,8 @@ let () =
             test_ladder_synthesizes_on_degraded;
           Alcotest.test_case "structured failure on disconnection" `Quick
             test_ladder_structured_failure_on_disconnected;
-          Alcotest.test_case "unsupported pattern never raises" `Quick
-            test_ladder_never_raises_on_unsupported;
+          Alcotest.test_case "routed patterns share one dispatch" `Quick
+            test_routed_patterns_share_one_dispatch;
           Alcotest.test_case "baseline probe finds a feasible algorithm" `Quick
             test_ladder_baseline_fallback_feasible;
           Alcotest.test_case "fallback counters" `Quick test_ladder_counts_fallbacks;
@@ -727,6 +789,8 @@ let () =
           Alcotest.test_case "timeline lowers fault sets" `Quick test_timeline_lowers_faults;
           Alcotest.test_case "suffix repair on mesh all-gather" `Quick
             test_repair_suffix_on_mesh_allgather;
+          Alcotest.test_case "trial fan-out is domain-independent" `Quick
+            test_repair_domains_bit_identical;
           Alcotest.test_case "late fault needs no repair" `Quick
             test_repair_complete_when_fault_lands_late;
           Alcotest.test_case "structured failure on disconnection" `Quick

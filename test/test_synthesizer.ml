@@ -5,7 +5,6 @@
 open Tacos_topology
 open Tacos_collective
 module Synth = Tacos.Synthesizer
-module Reference = Tacos.Reference
 
 let check_valid topo result =
   match Synth.verify topo result with
@@ -175,10 +174,23 @@ let test_goal_domains_bit_identical () =
   let topo = unit_mesh [| 3; 3 |] in
   let goal = Synth.goal_of_spec (spec Pattern.All_gather 9) in
   let ref_sched, _ = Synth.synthesize_goal ~seed:11 ~trials:4 ~domains:1 topo goal in
+  let ref_plan, ref_stats =
+    Synth.synthesize_goal_plan ~seed:11 ~trials:4 ~domains:1 topo goal
+  in
   List.iter
     (fun k ->
+      let label what = Printf.sprintf "%s at domains=%d" what k in
       let par, _ = Synth.synthesize_goal ~seed:11 ~trials:4 ~domains:k topo goal in
-      same_sends (Printf.sprintf "goal sends at domains=%d" k) ref_sched par)
+      same_sends (label "goal sends") ref_sched par;
+      let plan, stats =
+        Synth.synthesize_goal_plan ~seed:11 ~trials:4 ~domains:k topo goal
+      in
+      same_sends (label "plan combining") ref_plan.Synth.combining
+        plan.Synth.combining;
+      same_sends (label "plan pull") ref_plan.Synth.pull plan.Synth.pull;
+      Alcotest.(check (pair int int)) (label "plan rounds, matches")
+        (ref_stats.Synth.rounds, ref_stats.Synth.matches)
+        (stats.Synth.rounds, stats.Synth.matches))
     [ 2; 4 ]
 
 let test_random_link_order_still_valid () =
