@@ -344,38 +344,72 @@ let average_utilization topo t =
 
 let chunk_path t c = List.filter (fun s -> s.chunk = c) t.sends
 
+module Json = Tacos_util.Json
+
+let of_json_value doc =
+  match Option.bind (Json.member "sends" doc) Json.to_list with
+  | None -> Error "Schedule.of_json: missing \"sends\" array"
+  | Some entries -> (
+    let parse_send entry =
+      let int key = Option.bind (Json.member key entry) Json.to_int in
+      let num key = Option.bind (Json.member key entry) Json.to_float in
+      match (int "chunk", int "src", int "dst", int "link", num "start", num "finish") with
+      | Some chunk, Some src, Some dst, Some edge, Some start, Some finish ->
+        Some { chunk; src; dst; edge; start; finish }
+      | _ -> None
+    in
+    match
+      List.fold_left
+        (fun acc entry ->
+          match (acc, parse_send entry) with
+          | Some sends, Some send -> Some (send :: sends)
+          | _ -> None)
+        (Some []) entries
+    with
+    | Some sends -> (
+      match make sends with
+      | sched -> Ok sched
+      | exception Invalid_argument e -> Error ("Schedule.of_json: " ^ e))
+    | None -> Error "Schedule.of_json: malformed send entry")
+
 let of_json text =
-  let module Json = Tacos_util.Json in
   match Json.parse text with
   | Error e -> Error ("Schedule.of_json: " ^ e)
-  | Ok doc -> (
-    match Option.bind (Json.member "sends" doc) Json.to_list with
-    | None -> Error "Schedule.of_json: missing \"sends\" array"
-    | Some entries -> (
-      let parse_send entry =
-        let int key = Option.bind (Json.member key entry) Json.to_int in
-        let num key = Option.bind (Json.member key entry) Json.to_float in
-        match (int "chunk", int "src", int "dst", int "link", num "start", num "finish") with
-        | Some chunk, Some src, Some dst, Some edge, Some start, Some finish ->
-          Some { chunk; src; dst; edge; start; finish }
-        | _ -> None
-      in
-      match
-        List.fold_left
-          (fun acc entry ->
-            match (acc, parse_send entry) with
-            | Some sends, Some send -> Some (send :: sends)
-            | _ -> None)
-          (Some []) entries
-      with
-      | Some sends -> (
-        match make sends with
-        | sched -> Ok sched
-        | exception Invalid_argument e -> Error ("Schedule.of_json: " ^ e))
-      | None -> Error "Schedule.of_json: malformed send entry"))
+  | Ok doc -> of_json_value doc
+
+(* What [Json.parse] makes of [to_json]'s text, built without printing:
+   the same fields in the same order, integers as their float value and
+   floats unchanged ([%.17g] round-trips every finite float). *)
+let to_json_fields ?spec t =
+  let int i = Json.Number (float_of_int i) in
+  let send s =
+    Json.Object
+      [
+        ("chunk", int s.chunk);
+        ("src", int s.src);
+        ("dst", int s.dst);
+        ("link", int s.edge);
+        ("start", Json.Number s.start);
+        ("finish", Json.Number s.finish);
+      ]
+  in
+  (match spec with
+  | Some s ->
+    [
+      ("collective", Json.String (Pattern.name s.Spec.pattern));
+      ("npus", int s.Spec.npus);
+      ("chunks", int (Spec.num_chunks s));
+      ("chunk_size_bytes", Json.Number (Spec.chunk_size s));
+    ]
+  | None -> [])
+  @ [
+      ("makespan_seconds", Json.Number t.makespan);
+      ("sends", Json.Array (List.map send t.sends));
+    ]
 
 let to_json ?spec t =
-  let buf = Buffer.create (256 + (96 * List.length t.sends)) in
+  let last = List.length t.sends - 1 in
+  let buf = Buffer.create (256 + (96 * (last + 1))) in
   Buffer.add_string buf "{\n";
   (match spec with
   | Some s ->
@@ -394,7 +428,7 @@ let to_json ?spec t =
            "    {\"chunk\": %d, \"src\": %d, \"dst\": %d, \"link\": %d, \
             \"start\": %.17g, \"finish\": %.17g}%s\n"
            s.chunk s.src s.dst s.edge s.start s.finish
-           (if i = List.length t.sends - 1 then "" else ",")))
+           (if i = last then "" else ",")))
     t.sends;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf

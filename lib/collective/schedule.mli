@@ -150,3 +150,17 @@ val to_json : ?spec:Spec.t -> t -> string
     the spirit of MSCCL-style algorithm files): a JSON object with the
     collective metadata (when [spec] is given) and the flat send list
     [{chunk, src, dst, link, start, finish}]. Times are seconds. *)
+
+val of_json_value : Tacos_util.Json.t -> (t, string) result
+(** {!of_json} on an already-parsed document: [of_json text] is
+    [Json.parse text] followed by this, and the error texts are the same.
+    Sends that tie on [(start, finish)] come back in the reverse of their
+    document order; every other send keeps its place in the time order. *)
+
+val to_json_fields : ?spec:Spec.t -> t -> (string * Tacos_util.Json.t) list
+(** The fields of {!to_json}'s object as values, built in one pass without
+    printing: [Json.Object (to_json_fields ?spec t)] equals
+    [Json.parse (to_json ?spec t)] — same field order, integers as their
+    float value, every finite float unchanged (the [%.17g] text
+    round-trips it). Embed these to place a schedule inside a larger
+    document, e.g. a registry entry or a served export, and encode once. *)

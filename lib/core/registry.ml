@@ -170,11 +170,13 @@ let quarantined t =
   Mutex.unlock t.lock;
   n
 
-(* Entries written by [save_to_disk] carry a "checksum" field: the MD5 of
-   the entry encoded *without* it. [Json.parse] preserves field order and
-   [Json.encode] is deterministic ([%.17g] round-trips every float), so
-   strip-reencode-digest reproduces the signed bytes exactly. Foreign
-   algorithm files without a checksum are trusted as before. *)
+(* Entries written by [save_to_disk] carry a "checksum" field, last: the
+   MD5 of the entry's other fields encoded as one object. The writer splices
+   the checksum in place of that object's closing brace, so the file is
+   exactly [Json.encode] of all the fields. [Json.parse] preserves field
+   order and [Json.encode] is deterministic ([%.17g] round-trips every
+   float), so strip-reencode-digest reproduces the signed bytes exactly.
+   Foreign algorithm files without a checksum are trusted as before. *)
 let checksum_ok fields =
   match List.assoc_opt "checksum" fields with
   | None -> true
@@ -196,9 +198,9 @@ let load_from_disk t topo spec k =
       | exception Sys_error _ -> None
       | text -> (
         match Json.parse text with
-        | Ok (Json.Object fields) when checksum_ok fields -> (
-          match Schedule.of_json text with
-          | Ok schedule -> Some (Json.Object fields, schedule)
+        | Ok (Json.Object fields as doc) when checksum_ok fields -> (
+          match Schedule.of_json_value doc with
+          | Ok schedule -> Some (doc, schedule)
           | Error _ | (exception _) -> None)
         | Ok _ | Error _ -> None)
     in
@@ -223,24 +225,28 @@ let load_from_disk t topo spec k =
         None))
   | _ -> None
 
-(* Crash-safe persistence: encode with the embedded checksum, write the
-   bytes to a same-directory temp file, then [Sys.rename] into place — on
-   POSIX the rename is atomic, so a reader (or a crash) sees either the old
-   complete entry or the new complete entry, never a torn prefix. *)
+(* Crash-safe persistence. The entry's fields (the schedule's, then the
+   provenance) are encoded once, and their MD5 is spliced in as a
+   "checksum" field in place of the closing brace: the same bytes as
+   [Json.encode] of the fields with the checksum appended, the layout
+   [checksum_ok] verifies. The bytes go to a same-directory temp file,
+   then [Sys.rename] moves it into place — on POSIX the rename is atomic,
+   so a reader (or a crash) sees either the old complete entry or the new
+   complete entry, never a torn prefix. *)
 let save_to_disk t spec (result : Synthesizer.result) k =
   match disk_path t k with
   | Some path ->
-    let text = Schedule.to_json ~spec result.Synthesizer.schedule in
-    let text =
-      match Json.parse text with
-      | Ok (Json.Object fields) ->
-        let fields = fields @ provenance_fields result in
-        let digest = Digest.to_hex (Digest.string (Json.encode (Json.Object fields))) in
-        Json.encode (Json.Object (fields @ [ ("checksum", Json.String digest) ]))
-      | _ -> text
+    let payload =
+      Json.encode
+        (Json.Object
+           (Schedule.to_json_fields ~spec result.Synthesizer.schedule
+           @ provenance_fields result))
     in
+    let digest = Digest.to_hex (Digest.string payload) in
     let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-    Out_channel.with_open_text tmp (fun oc -> output_string oc text);
+    Out_channel.with_open_text tmp (fun oc ->
+        output_substring oc payload 0 (String.length payload - 1);
+        Printf.fprintf oc ", \"checksum\": \"%s\"}" digest);
     Sys.rename tmp path
   | None -> ()
 

@@ -265,9 +265,11 @@ let schedule_fields t (req : Protocol.request) topo (result : Synth.result) =
     let fields =
       match req.Protocol.format with
       | `Json ->
-        let text = Schedule.to_json ~spec:result.Synth.spec result.Synth.schedule in
-        let doc = Result.value ~default:(Json.String text) (Json.parse text) in
-        [ ("schedule", doc) ]
+        [
+          ( "schedule",
+            Json.Object
+              (Schedule.to_json_fields ~spec:result.Synth.spec result.Synth.schedule) );
+        ]
       | `Csv -> [ ("csv", Json.String (csv_of_result topo result)) ]
     in
     record_ms t t.q_export (elapsed_ms s);
@@ -611,7 +613,8 @@ let id_string = function
   | j -> Json.encode j
 
 (* The outcome an operator greps for, recovered from the response itself so
-   the log can never disagree with what the client saw. *)
+   the log can never disagree with what the client saw. That costs a parse
+   of the whole response, so it runs only when an access log is set. *)
 let classify op response =
   match Json.parse response with
   | Error _ -> "error"
@@ -628,10 +631,11 @@ let classify op response =
       | _ -> "ok")
     | Some _ | None -> "error")
 
-let access_log_line t ~t0 ~id ~verb ~deadline_ms ~outcome ~response =
+let access_log_line t ~t0 ~id ~verb ~deadline_ms ~op ~response =
   match t.config.access_log with
   | None -> ()
   | Some sink ->
+    let outcome = classify op response in
     let ms = elapsed_ms t0 in
     let pairs =
       [
@@ -739,6 +743,5 @@ let handle_line t line =
   (match List.assoc_opt verb t.lat_by_verb with
   | Some q -> record_ms t q (elapsed_ms t0)
   | None -> ());
-  access_log_line t ~t0 ~id ~verb ~deadline_ms ~outcome:(classify op response)
-    ~response;
+  access_log_line t ~t0 ~id ~verb ~deadline_ms ~op ~response;
   response

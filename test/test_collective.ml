@@ -288,13 +288,64 @@ let test_schedule_json_roundtrip () =
     | Ok () -> ()
     | Error e -> Alcotest.failf "round-tripped schedule invalid: %s" e)
 
+module Json = Tacos_util.Json
+
 let test_of_json_rejects_malformed () =
   List.iter
-    (fun bad ->
-      match Schedule.of_json bad with
+    (fun (bad, text) ->
+      (match Schedule.of_json bad with
       | Ok _ -> Alcotest.failf "%s should be rejected" bad
+      | Error e -> Alcotest.(check string) ("error text of " ^ bad) text e);
+      (* The value-level decoder reports the same text for a parsed
+         document. *)
+      match Json.parse bad with
+      | Ok doc ->
+        Alcotest.(check (result reject string))
+          ("of_json_value on " ^ bad) (Error text) (Schedule.of_json_value doc)
       | Error _ -> ())
-    [ "{}"; "not json"; {|{"sends": [{"chunk": 1}]}|} ]
+    [
+      ("{}", {|Schedule.of_json: missing "sends" array|});
+      ("not json", "Schedule.of_json: expected null at offset 0");
+      ({|{"sends": [{"chunk": 1}]}|}, "Schedule.of_json: malformed send entry");
+      ( {|{"sends": [{"chunk": 0, "src": 0, "dst": 1, "link": 0, "start": 2, "finish": 1}]}|},
+        "Schedule.of_json: Schedule.make: bad send interval" );
+      ("[1, 2]", {|Schedule.of_json: missing "sends" array|});
+    ]
+
+(* Schedules for the codec-agreement tests: the empty one and synthesized
+   All-Gather, Reduce-Scatter and All-Reduce on a mesh whose α-β costs and
+   chunk size are not integral, so the float fields exercise [%.17g]. *)
+let codec_cases () =
+  let link = Link.make ~alpha:0.7e-6 ~beta:(1. /. 37e9) in
+  let topo = Builders.mesh ~link [| 3; 3 |] in
+  let synth pattern =
+    let sp = spec ~chunks_per_npu:2 ~buffer_size:(1e6 /. 3.) pattern 9 in
+    (Pattern.name pattern, sp, (Tacos.Synthesizer.synthesize topo sp).Tacos.Synthesizer.schedule)
+  in
+  ("empty", spec Pattern.All_gather 9, Schedule.empty)
+  :: List.map synth [ Pattern.All_gather; Pattern.Reduce_scatter; Pattern.All_reduce ]
+
+let test_json_fields_match_parsed_text () =
+  List.iter
+    (fun (name, sp, sched) ->
+      List.iter
+        (fun (label, spec) ->
+          let what = name ^ label in
+          let fields = Schedule.to_json_fields ?spec sched in
+          Alcotest.(check bool) (what ^ ": equals the parsed text") true
+            (Json.parse (Schedule.to_json ?spec sched) = Ok (Json.Object fields));
+          match Schedule.of_json_value (Json.Object fields) with
+          | Error e -> Alcotest.failf "%s: %s" what e
+          | Ok back ->
+            Alcotest.(check bool) (what ^ ": exact makespan") true
+              (Float.equal back.Schedule.makespan sched.Schedule.makespan);
+            (* Ties on (start, finish) may swap places; the sends themselves
+               come back bit for bit. *)
+            Alcotest.(check bool) (what ^ ": every send restored") true
+              (List.sort compare back.Schedule.sends
+              = List.sort compare sched.Schedule.sends))
+        [ (" with spec", Some sp); (" without spec", None) ])
+    (codec_cases ())
 
 let test_lowering_programs () =
   let topo = ring3 () in
@@ -508,6 +559,8 @@ let () =
           Alcotest.test_case "JSON round trip" `Quick test_schedule_json_roundtrip;
           Alcotest.test_case "JSON import rejects malformed" `Quick
             test_of_json_rejects_malformed;
+          Alcotest.test_case "JSON fields match the parsed text" `Quick
+            test_json_fields_match_parsed_text;
           Alcotest.test_case "per-NPU lowering" `Quick test_lowering_programs;
           Alcotest.test_case "SVG rendering" `Quick test_svg_render;
         ] );

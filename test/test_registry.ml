@@ -2,8 +2,10 @@
    failure handling: atomic writes never leave temp droppings, every
    flavor of broken disk entry (truncated, empty, garbage, checksum
    mismatch) is quarantined to *.corrupt and re-synthesized instead of
-   raising, foreign checksum-less files still load, and a synthesis that
-   raises releases its single-flight key for a clean retry. *)
+   raising, foreign checksum-less files still load, entries in the layout
+   of earlier releases still load, persisted bytes re-encode exactly (the
+   invariant the checksum check relies on), and a synthesis that raises
+   releases its single-flight key for a clean retry. *)
 
 open Tacos_topology
 open Tacos_collective
@@ -139,6 +141,74 @@ let test_foreign_entry_without_checksum_loads () =
   Alcotest.(check bool) "checksum-less entry still hits" true (m = `Hit);
   Alcotest.(check int) "nothing quarantined" 0 (Registry.quarantined reg);
   rm_rf dir
+
+(* The layout earlier releases wrote, rebuilt here from its recipe: the
+   pretty [Schedule.to_json] text parsed back, the provenance fields
+   appended, the checksum taken over that object's encoding and appended
+   last. Such a file must keep loading as a plain disk hit. *)
+let test_earlier_layout_entry_loads () =
+  let dir = fresh_dir () in
+  let topo = ring 6 in
+  let s = spec Pattern.All_reduce 6 in
+  let result, path = warm_entry dir topo s in
+  let fields =
+    match Json.parse (Schedule.to_json ~spec:s result.Synth.schedule) with
+    | Ok (Json.Object fields) -> fields
+    | _ -> Alcotest.fail "Schedule.to_json is not a JSON object"
+  in
+  let rs_makespan =
+    match result.Synth.phases with
+    | Some (rs, _) -> rs.Schedule.makespan
+    | None -> Alcotest.fail "All-Reduce without a phase split"
+  in
+  let stats = result.Synth.stats in
+  let fields =
+    fields
+    @ [
+        ( "synthesis_stats",
+          Json.Object
+            [
+              ("wall_seconds", Json.Number stats.Synth.wall_seconds);
+              ("rounds", Json.Number (float_of_int stats.Synth.rounds));
+              ("matches", Json.Number (float_of_int stats.Synth.matches));
+              ("trials", Json.Number (float_of_int stats.Synth.trials));
+            ] );
+        ("reduce_scatter_makespan", Json.Number rs_makespan);
+      ]
+  in
+  let digest = Digest.to_hex (Digest.string (Json.encode (Json.Object fields))) in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc
+        (Json.encode (Json.Object (fields @ [ ("checksum", Json.String digest) ]))));
+  let reg = Registry.create ~dir () in
+  let loaded, m = Registry.find_or_synthesize reg topo s in
+  Alcotest.(check bool) "earlier-layout entry is a disk hit" true (m = `Hit);
+  Alcotest.(check int) "nothing quarantined" 0 (Registry.quarantined reg);
+  Alcotest.(check int) "provenance restored" stats.Synth.matches
+    loaded.Synth.stats.Synth.matches;
+  Alcotest.(check bool) "phase split restored" true (loaded.Synth.phases <> None);
+  rm_rf dir
+
+(* [checksum_ok] strips the checksum and re-encodes the parsed document;
+   that only verifies if the file is exactly [Json.encode] of its own
+   parse, which the spliced checksum must preserve. *)
+let test_persisted_bytes_reencode () =
+  List.iter
+    (fun s ->
+      let dir = fresh_dir () in
+      let _, path = warm_entry dir (ring 6) s in
+      let text = In_channel.with_open_text path In_channel.input_all in
+      (match Json.parse text with
+      | Ok doc ->
+        Alcotest.(check string) "bytes = Json.encode of the parsed entry"
+          (Json.encode doc) text;
+        Alcotest.(check bool) "checksum is the last field" true
+          (match doc with
+          | Json.Object fields -> fst (List.nth fields (List.length fields - 1)) = "checksum"
+          | _ -> false)
+      | Error e -> Alcotest.failf "persisted entry not JSON: %s" e);
+      rm_rf dir)
+    [ spec Pattern.All_gather 6; spec ~buffer_size:(1e6 /. 3.) Pattern.All_reduce 6 ]
 
 let test_find_cached_peek () =
   let dir = fresh_dir () in
@@ -321,6 +391,10 @@ let () =
             test_checksum_mismatch_entry;
           Alcotest.test_case "foreign checksum-less entry loads" `Quick
             test_foreign_entry_without_checksum_loads;
+          Alcotest.test_case "earlier-layout entry loads" `Quick
+            test_earlier_layout_entry_loads;
+          Alcotest.test_case "persisted bytes re-encode exactly" `Quick
+            test_persisted_bytes_reencode;
         ] );
       ( "serving-paths",
         [

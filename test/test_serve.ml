@@ -356,10 +356,36 @@ let test_access_log () =
       access_log = Some (fun line -> records := line :: !records);
     }
   in
+  let lines =
+    [
+      synth_req "ring:4";
+      synth_req ~id:2. ~deadline_ms:500. "ring:4";
+      req
+        [
+          ("id", Json.Number 3.);
+          ("op", Json.String "export");
+          ("topology", Json.String "ring:4");
+          ("pattern", Json.String "all-gather");
+          ("size", Json.Number 1e6);
+        ];
+      "not json at all";
+    ]
+  in
   let svc = service ~config () in
-  ignore (Service.handle_line svc (synth_req "ring:4"));
-  ignore (Service.handle_line svc (synth_req ~id:2. ~deadline_ms:500. "ring:4"));
-  ignore (Service.handle_line svc "not json at all");
+  let responses = List.map (Service.handle_line svc) lines in
+  (* The outcome is derived from the response only when a sink is set; the
+     responses themselves must not depend on it. *)
+  let without_sink = List.map (Service.handle_line (service ())) lines in
+  let comparable r =
+    match parse_response r with
+    | Json.Object fields -> Json.Object (List.remove_assoc "elapsed_ms" fields)
+    | doc -> doc
+  in
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) "same response with and without a sink" true
+        (comparable a = comparable b))
+    responses without_sink;
   let parsed =
     List.rev_map
       (fun line ->
@@ -369,7 +395,7 @@ let test_access_log () =
       !records
   in
   (match parsed with
-  | [ miss; hit; bad ] ->
+  | [ miss; hit; export; bad ] ->
     Alcotest.(check (option string)) "miss outcome" (Some "miss")
       (List.assoc_opt "outcome" miss);
     Alcotest.(check (option string)) "hit outcome" (Some "hit")
@@ -378,6 +404,11 @@ let test_access_log () =
     Alcotest.(check (option string)) "deadline recorded" (Some "500")
       (List.assoc_opt "deadline_ms" hit);
     Alcotest.(check bool) "slack recorded" true (List.mem_assoc "slack_ms" hit);
+    Alcotest.(check (option string)) "export outcome" (Some "hit")
+      (List.assoc_opt "outcome" export);
+    Alcotest.(check (option string)) "export bytes_out is the response length"
+      (Some (string_of_int (String.length (List.nth responses 2))))
+      (List.assoc_opt "bytes_out" export);
     Alcotest.(check (option string)) "malformed line logged as invalid"
       (Some "invalid") (List.assoc_opt "verb" bad);
     Alcotest.(check (option string)) "malformed line is an error" (Some "error")
@@ -389,7 +420,7 @@ let test_access_log () =
             Alcotest.(check bool) (k ^ " present") true (List.mem_assoc k kvs))
           [ "t"; "id"; "verb"; "outcome"; "elapsed_ms"; "bytes_out" ])
       parsed
-  | l -> Alcotest.failf "expected 3 access records, got %d" (List.length l));
+  | l -> Alcotest.failf "expected 4 access records, got %d" (List.length l));
   Alcotest.(check bool) "stamps stay within uptime" true
     (List.for_all
        (fun kvs ->

@@ -330,6 +330,40 @@ let test_json_encode_integral () =
   Alcotest.(check string) "integral" "144" (Json.encode (Json.Number 144.));
   Alcotest.(check string) "zero" "0" (Json.encode (Json.Number 0.))
 
+(* [encode] then [parse] must give back every finite float bit for bit:
+   the registry's checksum and its byte-identical re-encoding rest on it.
+   Besides arbitrary bit patterns, the generator aims at the corners of
+   [add_number]: signed zero, the 1e15 switch from "%.0f" to "%.17g", and
+   subnormals. *)
+let finite_float_gen =
+  let open QCheck.Gen in
+  let signed g = map2 (fun neg f -> if neg then -.f else f) bool g in
+  let bits = map Int64.float_of_bits int64 in
+  let around_1e15 = map (fun k -> 1e15 +. float_of_int k) (int_range (-4) 4) in
+  let subnormal =
+    map (fun m -> Int64.float_of_bits (Int64.of_int (m + 1))) (int_bound ((1 lsl 52) - 2))
+  in
+  frequency
+    [
+      (4, bits);
+      (2, float);
+      (2, signed around_1e15);
+      (2, signed subnormal);
+      ( 1,
+        oneofl
+          [ -0.; 0.; Float.pred 1e15; Float.succ 1e15; Float.min_float; 5e-324;
+            Float.max_float; -.Float.max_float; 0x1p53; 0x1p53 +. 2. ] );
+    ]
+  |> map (fun f -> if Float.is_finite f then f else 0.5)
+
+let prop_json_number_roundtrip =
+  QCheck.Test.make ~name:"Json number encode/parse is bit-exact" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") finite_float_gen)
+    (fun f ->
+      match Json.parse (Json.encode (Json.Number f)) with
+      | Ok (Json.Number g) -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | _ -> false)
+
 (* --- Clock ---------------------------------------------------------------- *)
 
 module Clock = Tacos_util.Clock
@@ -440,6 +474,7 @@ let () =
           Alcotest.test_case "empty containers" `Quick test_json_empty_containers;
           Alcotest.test_case "encode round-trip" `Quick test_json_encode_roundtrip;
           Alcotest.test_case "encode integral" `Quick test_json_encode_integral;
+          QCheck_alcotest.to_alcotest prop_json_number_roundtrip;
         ] );
       ( "clock",
         [
