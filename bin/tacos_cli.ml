@@ -23,10 +23,24 @@ module Critpath = Tacos_obs.Critpath
 module Fault = Tacos_resilience.Fault
 module Resilience = Tacos_resilience.Resilience
 module Service = Tacos_serve.Service
+module Protocol = Tacos_serve.Protocol
 module Sketch = Tacos_sketch.Sketch
 module Strategy = Tacos_sketch.Strategy
+module Plan = Tacos_groups.Plan
 
 (* --- common options ------------------------------------------------------ *)
+
+let fail fmt = Printf.ksprintf (fun msg -> `Error (false, msg)) fmt
+
+(* Counts and sizes that must be at least 1: a bad value is a usage error,
+   never an exception out of the library. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let topology_arg =
   let doc =
@@ -53,7 +67,7 @@ let pattern_arg =
 
 let chunks_arg =
   let doc = "Chunks per NPU (collective decomposition granularity)." in
-  Arg.(value & opt int 1 & info [ "c"; "chunks" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "c"; "chunks" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Random seed for the matching search." in
@@ -61,7 +75,7 @@ let seed_arg =
 
 let trials_arg =
   let doc = "Randomized synthesis restarts; the best schedule is kept." in
-  Arg.(value & opt int 1 & info [ "trials" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "trials" ] ~docv:"N" ~doc)
 
 let domains_arg =
   let doc =
@@ -69,7 +83,13 @@ let domains_arg =
      --groups) per-phase sub-syntheses fan out on one shared worker pool. \
      Results are bit-identical to --domains 1."
   in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "domains" ] ~docv:"N" ~doc)
+
+let candidates_arg ~doc =
+  Arg.(
+    value
+    & opt (list positive_int) [ 1; 2; 4; 8; 16 ]
+    & info [ "candidates" ] ~docv:"K1,K2,..." ~doc)
 
 let groups_arg =
   let doc =
@@ -83,11 +103,9 @@ let groups_arg =
 
 (* Derive the partition a [--groups] argument names, as a [result]. *)
 let parse_groups topo gstr =
-  match Tacos_groups.Plan.grouping_of_string gstr with
-  | Error e -> Error e
-  | Ok grouping -> Tacos_groups.Plan.decompose topo grouping
-
-let fail fmt = Printf.ksprintf (fun msg -> `Error (false, msg)) fmt
+  Result.map_error
+    (fun e -> "--groups: " ^ e)
+    (Result.bind (Plan.grouping_of_string gstr) (Plan.decompose topo))
 
 let sketch_arg =
   let doc =
@@ -96,30 +114,79 @@ let sketch_arg =
   in
   Arg.(value & opt (some string) None & info [ "sketch" ] ~docv:"FILE" ~doc)
 
-(* Load a [--sketch FILE] argument, if any, as a [Sketch.t option]. *)
-let with_sketch sketch_path f =
-  match sketch_path with
-  | None -> f None
-  | Some path -> (
-    match Sketch.of_file path with
-    | Error e -> fail "--sketch %s: %s" path e
-    | Ok sk -> f (Some sk))
+(* [--groups], refused next to a [--sketch]: the group planner takes no
+   sketch. Evaluated before the request, so the conflict is the error. *)
+let groups_term =
+  let check groups sketch =
+    match (groups, sketch) with
+    | Some _, Some _ -> fail "--sketch does not compose with --groups"
+    | _ -> `Ok groups
+  in
+  Term.(ret (const check $ groups_arg $ sketch_arg))
 
-let with_setup topo_str alpha_us bw_gbps f =
-  match Parse.parse_topology ~alpha:(alpha_us *. 1e-6) ~bw:(Units.gbps bw_gbps) topo_str with
-  | Error e -> fail "%s" e
-  | Ok topo -> f topo
+(* A collective command's inputs as the [Protocol.request] [serve] would
+   receive, resolved by the same validator ([Service.resolve]): both front
+   ends accept and reject the same inputs with the same error texts. A
+   command without a pattern, chunks or sketch flag passes a constant. *)
+let request_term ?(op = Protocol.Synthesize) ?(pattern = pattern_arg)
+    ?(chunks = Term.const 1) ?(sketch = Term.const None) () =
+  let resolve topology alpha bw size pattern chunks seed sketch_path =
+    let ( let* ) = Result.bind in
+    let resolved =
+      let* size = Parse.parse_size size in
+      let* sketch =
+        match sketch_path with
+        | None -> Ok None
+        | Some path -> (
+          match Sketch.of_file path with
+          | Ok sk -> Ok (Some sk)
+          | Error e -> Error (Printf.sprintf "--sketch %s: %s" path e))
+      in
+      let req =
+        {
+          Protocol.id = Json.Null;
+          op;
+          topology = Some topology;
+          pattern;
+          size;
+          chunks;
+          seed = Some seed;
+          deadline_ms = None;
+          fail_links = [];
+          candidates = None;
+          sketch;
+          format = `Json;
+          prefix = None;
+        }
+      in
+      Service.resolve ~alpha:(alpha *. 1e-6) ~bw:(Units.gbps bw)
+        Service.default_config req
+      |> Result.map (fun r -> (req, r))
+    in
+    match resolved with Ok v -> `Ok v | Error e -> fail "%s" e
+  in
+  Term.(
+    ret
+      (const resolve $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern
+     $ chunks $ seed_arg $ sketch))
 
-(* The topology, size and pattern arguments every synthesis command
-   shares, parsed in that order; the first error is the command's. *)
-let with_inputs topo_str alpha_us bw_gbps size_str pattern_str f =
-  with_setup topo_str alpha_us bw_gbps (fun topo ->
-      match Parse.parse_size size_str with
-      | Error e -> fail "%s" e
-      | Ok size -> (
-        match Parse.parse_pattern pattern_str (Topology.num_npus topo) with
-        | Error e -> fail "%s" e
-        | Ok pattern -> f topo size pattern))
+(* Run a command body, reporting the synthesizer's typed failures as the
+   command's error instead of an uncaught exception. *)
+let reporting_failures f =
+  try f () with
+  | Synth.Stuck msg -> fail "synthesis stuck: %s" msg
+  | Synth.Unsupported msg -> fail "unsupported: %s" msg
+  | Sketch.Infeasible off ->
+    fail "sketch infeasible: %s" (Sketch.offender_to_string off)
+
+(* Write [text] as is to [dest]: '-' is stdout; a file is announced on
+   stdout as "<what> written to FILE" when [what] is given. *)
+let write_out ?what dest text =
+  match dest with
+  | "-" -> print_string text
+  | file ->
+    Out_channel.with_open_text file (fun oc -> output_string oc text);
+    Option.iter (fun what -> Format.printf "%s written to %s@." what file) what
 
 (* --- synthesize ----------------------------------------------------------- *)
 
@@ -151,173 +218,147 @@ let synthesize_cmd =
       & info [ "program" ] ~docv:"NPU"
           ~doc:"Print the lowered per-NPU send/recv program of $(docv).")
   in
-  let run topo_str alpha bw size_str pattern_str chunks seed trials domains groups sketch_path ten events json svg program =
-    with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
-        with_sketch sketch_path (fun sketch ->
-        let spec =
-          Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-            ~npus:(Topology.num_npus topo) ()
+  let run groups ((req : Protocol.request), (r : Service.resolved)) trials
+      domains ten events json svg program =
+    reporting_failures @@ fun () ->
+    let topo = r.healthy and spec = r.spec and seed = r.seed in
+    let size = req.size in
+    let synthesized =
+      match groups with
+      | Some gstr ->
+        Result.map
+          (fun gs ->
+            let plan = Plan.synthesize ~seed ~trials ~domains topo spec ~groups:gs in
+            (plan.Plan.result, Some plan))
+          (parse_groups topo gstr)
+      | None ->
+        let sketch = Option.map snd r.sketch in
+        Ok (Tacos.Router.dispatch ~seed ~trials ~domains ?sketch topo spec, None)
+    in
+    match synthesized with
+    | Error e -> fail "%s" e
+    | Ok (result, plan) ->
+      Format.printf "topology:        %a@." Topology.pp topo;
+      Format.printf "collective:      %a@." Spec.pp spec;
+      (match plan with
+      | Some p ->
+        Format.printf "groups:          %d x %d NPUs, %d syntheses, %d dedup hits@."
+          p.Plan.groups p.Plan.group_size p.Plan.syntheses p.Plan.dedup_hits;
+        List.iter
+          (fun (i : Plan.phase_info) ->
+            Format.printf "  %-21s %3d parts, %d synthesized, makespan %s, wall %s@."
+              i.Plan.phase i.Plan.parts i.Plan.syntheses
+              (Units.time_pp i.Plan.makespan)
+              (Units.time_pp i.Plan.wall_seconds))
+          p.Plan.phase_infos
+      | None -> ());
+      Format.printf "collective time: %s@." (Units.time_pp result.Synth.collective_time);
+      Format.printf "bandwidth:       %s@."
+        (Units.bandwidth_pp (size /. result.Synth.collective_time));
+      Format.printf "sends:           %d over %d rounds (synthesized in %s)@."
+        (Schedule.num_sends result.Synth.schedule)
+        result.Synth.stats.Synth.rounds
+        (Units.time_pp result.Synth.stats.Synth.wall_seconds);
+      (match Synth.verify topo result with
+      | Ok () -> Format.printf "validation:      ok (congestion-free, postconditions met)@."
+      | Error e -> Format.printf "validation:      FAILED: %s@." e);
+      (match r.sketch with
+      | Some (sk, _) -> (
+        match Sketch.compliant topo spec sk result.Synth.schedule with
+        | Ok () ->
+          Format.printf "sketch:          ok (%d rules, schedule compliant)@."
+            (List.length sk.Sketch.rules)
+        | Error e -> Format.printf "sketch:          VIOLATED: %s@." e)
+      | None -> ());
+      (match Ideal.all_reduce_time topo ~size with
+      | ideal when r.pattern = Pattern.All_reduce ->
+        Format.printf "vs ideal:        %.2f%%@."
+          (100. *. ideal /. result.Synth.collective_time)
+      | _ | (exception _) -> ());
+      if events then Schedule.pp_events Format.std_formatter result.Synth.schedule;
+      Option.iter
+        (fun dest -> write_out ~what:"SVG" dest (Svg.render topo result.Synth.schedule))
+        svg;
+      (match program with
+      | Some npu ->
+        let programs =
+          Lowering.npu_programs ~npus:(Topology.num_npus topo) result.Synth.schedule
         in
-        let synthesize () =
-          match groups with
-          | Some _ when sketch <> None ->
-            Error "--sketch does not compose with --groups"
-          | Some gstr -> (
-            match parse_groups topo gstr with
-            | Error e -> Error ("--groups: " ^ e)
-            | Ok gs ->
-              let plan =
-                Tacos_groups.Plan.synthesize ~seed ~trials ~domains topo spec
-                  ~groups:gs
-              in
-              Ok (plan.Tacos_groups.Plan.result, Some plan))
-          | None ->
-            (* Compiling first surfaces a typed infeasibility (including
-               routed patterns) before any matching work. *)
-            let sketch = Option.map (Sketch.compile topo spec) sketch in
-            Ok
-              (Tacos.Router.dispatch ~seed ~trials ~domains ?sketch topo spec, None)
+        if npu < 0 || npu >= Array.length programs then
+          Format.printf "NPU %d out of range@." npu
+        else begin
+          Format.printf "program of NPU %d:@." npu;
+          Lowering.pp_program Format.std_formatter programs.(npu)
+        end
+      | None -> ());
+      Option.iter
+        (fun dest ->
+          write_out ~what:"schedule" dest
+            (Schedule.to_json ~spec result.Synth.schedule))
+        json;
+      if ten then begin
+        let chunk_size = Spec.chunk_size spec in
+        let cost =
+          match Topology.edges topo with
+          | e :: _ -> Link.cost e.Topology.link chunk_size
+          | [] -> 0.
         in
-        match synthesize () with
-        | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-        | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
-        | exception Sketch.Infeasible off ->
-          fail "sketch infeasible: %s" (Sketch.offender_to_string off)
-        | Error e -> fail "%s" e
-        | Ok (result, plan) ->
-          Format.printf "topology:        %a@." Topology.pp topo;
-          Format.printf "collective:      %a@." Spec.pp spec;
-          (match plan with
-          | Some p ->
-            Format.printf "groups:          %d x %d NPUs, %d syntheses, %d dedup hits@."
-              p.Tacos_groups.Plan.groups p.Tacos_groups.Plan.group_size
-              p.Tacos_groups.Plan.syntheses p.Tacos_groups.Plan.dedup_hits;
-            List.iter
-              (fun (i : Tacos_groups.Plan.phase_info) ->
-                Format.printf
-                  "  %-21s %3d parts, %d synthesized, makespan %s, wall %s@."
-                  i.Tacos_groups.Plan.phase i.Tacos_groups.Plan.parts
-                  i.Tacos_groups.Plan.syntheses
-                  (Units.time_pp i.Tacos_groups.Plan.makespan)
-                  (Units.time_pp i.Tacos_groups.Plan.wall_seconds))
-              p.Tacos_groups.Plan.phase_infos
-          | None -> ());
-          Format.printf "collective time: %s@." (Units.time_pp result.Synth.collective_time);
-          Format.printf "bandwidth:       %s@."
-            (Units.bandwidth_pp (size /. result.Synth.collective_time));
-          Format.printf "sends:           %d over %d rounds (synthesized in %s)@."
-            (Schedule.num_sends result.Synth.schedule)
-            result.Synth.stats.Synth.rounds
-            (Units.time_pp result.Synth.stats.Synth.wall_seconds);
-          (match Synth.verify topo result with
-          | Ok () -> Format.printf "validation:      ok (congestion-free, postconditions met)@."
-          | Error e -> Format.printf "validation:      FAILED: %s@." e);
-          (match sketch with
-          | Some sk -> (
-            match Sketch.compliant topo spec sk result.Synth.schedule with
-            | Ok () ->
-              Format.printf "sketch:          ok (%d rules, schedule compliant)@."
-                (List.length sk.Sketch.rules)
-            | Error e -> Format.printf "sketch:          VIOLATED: %s@." e)
-          | None -> ());
-          (match Ideal.all_reduce_time topo ~size with
-          | ideal when pattern = Pattern.All_reduce ->
-            Format.printf "vs ideal:        %.2f%%@."
-              (100. *. ideal /. result.Synth.collective_time)
-          | _ | (exception _) -> ());
-          if events then Schedule.pp_events Format.std_formatter result.Synth.schedule;
-          (match svg with
-          | Some file ->
-            let oc = open_out file in
-            output_string oc (Svg.render topo result.Synth.schedule);
-            close_out oc;
-            Format.printf "SVG written to %s@." file
-          | None -> ());
-          (match program with
-          | Some npu ->
-            let programs =
-              Lowering.npu_programs ~npus:(Topology.num_npus topo)
-                result.Synth.schedule
-            in
-            if npu < 0 || npu >= Array.length programs then
-              Format.printf "NPU %d out of range@." npu
-            else begin
-              Format.printf "program of NPU %d:@." npu;
-              Lowering.pp_program Format.std_formatter programs.(npu)
-            end
-          | None -> ());
-          (match json with
-          | Some "-" -> print_string (Schedule.to_json ~spec result.Synth.schedule)
-          | Some file ->
-            let oc = open_out file in
-            output_string oc (Schedule.to_json ~spec result.Synth.schedule);
-            close_out oc;
-            Format.printf "schedule written to %s@." file
-          | None -> ());
-          if ten then begin
-            let chunk_size = Spec.chunk_size spec in
-            let cost =
-              match Topology.edges topo with
-              | e :: _ -> Link.cost e.Topology.link chunk_size
-              | [] -> 0.
-            in
-            match Tacos_ten.Ten.of_schedule topo ~span_cost:cost result.Synth.schedule with
-            | ten -> print_string (Tacos_ten.Ten.render ten)
-            | exception Invalid_argument _ ->
-              print_endline "(TEN grid unavailable: heterogeneous topology or composite schedule)"
-          end;
-          `Ok ()))
+        match Tacos_ten.Ten.of_schedule topo ~span_cost:cost result.Synth.schedule with
+        | ten -> print_string (Tacos_ten.Ten.render ten)
+        | exception Invalid_argument _ ->
+          print_endline "(TEN grid unavailable: heterogeneous topology or composite schedule)"
+      end;
+      `Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ chunks_arg $ seed_arg $ trials_arg $ domains_arg $ groups_arg
-       $ sketch_arg $ render_ten $ list_events $ json_out $ svg_out $ program_of))
+        (const run $ groups_term
+        $ request_term ~chunks:chunks_arg ~sketch:sketch_arg ()
+        $ trials_arg $ domains_arg $ render_ten $ list_events $ json_out $ svg_out
+        $ program_of))
   in
   Cmd.v (Cmd.info "synthesize" ~doc:"Synthesize a topology-aware collective algorithm") term
 
 (* --- compare --------------------------------------------------------------- *)
 
 let compare_cmd =
-  let run topo_str alpha bw size_str chunks seed trials =
-    with_inputs topo_str alpha bw size_str "all-reduce" (fun topo size pattern ->
-        let n = Topology.num_npus topo in
-        let spec k =
-          Spec.make ~chunks_per_npu:k ~buffer_size:size ~pattern ~npus:n ()
-        in
-        let power_of_two = n land (n - 1) = 0 in
-        let baselines =
-          [ ("Ring", Algo.ring); ("Direct", Algo.Direct) ]
-          @ (if power_of_two then [ ("RHD", Algo.Rhd); ("DBT", Algo.Dbt) ] else [])
-          @ [ ("TACCL-like", Algo.Taccl_like) ]
-        in
-        let rows = ref [] in
-        List.iter
-          (fun (name, algo) ->
-            match Algo.collective_time algo topo (spec 1) with
-            | t ->
-              rows := [ name; Units.time_pp t; Units.bandwidth_pp (size /. t) ] :: !rows
-            | exception _ -> rows := [ name; "n/a"; "n/a" ] :: !rows)
-          baselines;
-        let result = Synth.synthesize ~seed ~trials topo (spec chunks) in
-        let program =
-          Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size (spec chunks))
-            result.Synth.schedule
-        in
-        let t = (Tacos_sim.Engine.run topo program).Tacos_sim.Engine.finish_time in
-        rows := [ "TACOS"; Units.time_pp t; Units.bandwidth_pp (size /. t) ] :: !rows;
-        let ideal = Ideal.all_reduce_time topo ~size in
-        rows := [ "Ideal"; Units.time_pp ideal; Units.bandwidth_pp (size /. ideal) ] :: !rows;
-        Format.printf "All-Reduce of %s on %a@." (Units.bytes_pp size) Topology.pp topo;
-        Table.print ~header:[ "Algorithm"; "Time"; "Bandwidth" ] (List.rev !rows);
-        `Ok ())
+  let run ((req : Protocol.request), (r : Service.resolved)) trials =
+    reporting_failures @@ fun () ->
+    let topo = r.healthy and size = req.size in
+    let n = Topology.num_npus topo in
+    (* The baselines run at one chunk per NPU, TACOS at the requested
+       granularity. *)
+    let baseline_spec = Spec.make ~buffer_size:size ~pattern:r.pattern ~npus:n () in
+    let power_of_two = n land (n - 1) = 0 in
+    let baselines =
+      [ ("Ring", Algo.ring); ("Direct", Algo.Direct) ]
+      @ (if power_of_two then [ ("RHD", Algo.Rhd); ("DBT", Algo.Dbt) ] else [])
+      @ [ ("TACCL-like", Algo.Taccl_like) ]
+    in
+    let row name t = [ name; Units.time_pp t; Units.bandwidth_pp (size /. t) ] in
+    let baseline_rows =
+      List.map
+        (fun (name, algo) ->
+          match Algo.collective_time algo topo baseline_spec with
+          | t -> row name t
+          | exception _ -> [ name; "n/a"; "n/a" ])
+        baselines
+    in
+    let result = Synth.synthesize ~seed:r.seed ~trials topo r.spec in
+    let tacos = Tacos.Tuner.simulated_time topo result in
+    let ideal = Ideal.all_reduce_time topo ~size in
+    Format.printf "All-Reduce of %s on %a@." (Units.bytes_pp size) Topology.pp topo;
+    Table.print ~header:[ "Algorithm"; "Time"; "Bandwidth" ]
+      (baseline_rows @ [ row "TACOS" tacos; row "Ideal" ideal ]);
+    `Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ chunks_arg
-       $ seed_arg $ trials_arg))
+        (const run
+        $ request_term ~pattern:(const "all-reduce") ~chunks:chunks_arg ()
+        $ trials_arg))
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare TACOS against the baseline All-Reduce algorithms")
@@ -326,86 +367,61 @@ let compare_cmd =
 (* --- tune ------------------------------------------------------------------ *)
 
 let tune_cmd =
-  let candidates_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8; 16 ]
-      & info [ "candidates" ] ~docv:"K1,K2,..."
-          ~doc:"Chunks-per-NPU granularities to try.")
-  in
-  let run topo_str alpha bw size_str pattern_str seed domains candidates groups
-      sketch_path =
-    with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
-        with_sketch sketch_path (fun sketch ->
-        (* With --groups, every candidate granularity is synthesized
-           hierarchically through the group planner. *)
-        let backend =
-          match (groups, sketch) with
-          | Some _, Some _ -> Error "--sketch does not compose with --groups"
-          | None, None -> Ok None
-          | None, Some sk ->
-            Ok
-              (Some
-                 (fun ~seed topo spec ->
-                   (* Per candidate: pin chunk ids are validated against
-                      each candidate's own chunk space. *)
-                   let c = Sketch.compile topo spec sk in
-                   Synth.synthesize ~seed ~domains ~sketch:c topo spec))
-          | Some gstr, None ->
-            Result.map_error
-              (fun e -> "--groups: " ^ e)
-              (Result.map
-                 (fun gs ->
-                   Some
-                     (fun ~seed topo spec ->
-                       (Tacos_groups.Plan.synthesize ~seed ~domains topo spec
-                          ~groups:gs)
-                         .Tacos_groups.Plan.result))
-                 (parse_groups topo gstr))
-        in
-        match backend with
-        | Error e -> fail "%s" e
-        | Ok synthesize -> (
-          match
-            let rows = ref [] in
-            List.iter
-              (fun k ->
-                let choice =
-                  Tacos.Tuner.tune ~seed ~domains ~candidates:[ k ] ?synthesize
-                    topo ~pattern ~size
-                in
-                rows :=
-                  [
-                    string_of_int k;
-                    Units.time_pp choice.Tacos.Tuner.simulated_time;
-                    Units.bandwidth_pp (size /. choice.Tacos.Tuner.simulated_time);
-                  ]
-                  :: !rows)
-              candidates;
-            let best =
-              Tacos.Tuner.tune ~seed ~domains ~candidates ?synthesize topo
-                ~pattern ~size
-            in
-            (List.rev !rows, best)
-          with
-          | exception Sketch.Infeasible off ->
-            fail "sketch infeasible: %s" (Sketch.offender_to_string off)
-          | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-          | rows, best ->
-            Format.printf "%s of %s on %a@." (Pattern.name pattern)
-              (Units.bytes_pp size) Topology.pp topo;
-            Table.print ~header:[ "chunks/NPU"; "simulated time"; "bandwidth" ]
-              rows;
-            Format.printf "best: %d chunks/NPU (%s)@."
-              best.Tacos.Tuner.chunks_per_npu
-              (Units.time_pp best.Tacos.Tuner.simulated_time);
-            `Ok ())))
+  let run groups ((req : Protocol.request), (r : Service.resolved)) domains
+      candidates =
+    reporting_failures @@ fun () ->
+    let topo = r.healthy and size = req.size in
+    (* With --groups, every candidate granularity is synthesized
+       hierarchically through the group planner. *)
+    let backend =
+      match (groups, req.sketch) with
+      | None, None -> Ok None
+      | None, Some sk ->
+        Ok
+          (Some
+             (fun ~seed topo spec ->
+               (* Per candidate: pin chunk ids are validated against each
+                  candidate's own chunk space. *)
+               let c = Sketch.compile topo spec sk in
+               Synth.synthesize ~seed ~domains ~sketch:c topo spec))
+      | Some gstr, _ ->
+        Result.map
+          (fun gs ->
+            Some
+              (fun ~seed topo spec ->
+                (Plan.synthesize ~seed ~domains topo spec ~groups:gs).Plan.result))
+          (parse_groups topo gstr)
+    in
+    match backend with
+    | Error e -> fail "%s" e
+    | Ok synthesize ->
+      let choices =
+        Tacos.Tuner.sweep ~seed:r.seed ~domains ~candidates ?synthesize topo
+          ~pattern:r.pattern ~size
+      in
+      let best = Tacos.Tuner.best choices in
+      Format.printf "%s of %s on %a@." (Pattern.name r.pattern) (Units.bytes_pp size)
+        Topology.pp topo;
+      Table.print ~header:[ "chunks/NPU"; "simulated time"; "bandwidth" ]
+        (List.map
+           (fun (c : Tacos.Tuner.choice) ->
+             [
+               string_of_int c.Tacos.Tuner.chunks_per_npu;
+               Units.time_pp c.Tacos.Tuner.simulated_time;
+               Units.bandwidth_pp (size /. c.Tacos.Tuner.simulated_time);
+             ])
+           choices);
+      Format.printf "best: %d chunks/NPU (%s)@." best.Tacos.Tuner.chunks_per_npu
+        (Units.time_pp best.Tacos.Tuner.simulated_time);
+      `Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ seed_arg $ domains_arg $ candidates_arg $ groups_arg $ sketch_arg))
+        (const run $ groups_term
+        $ request_term ~op:Protocol.Tune ~sketch:sketch_arg ()
+        $ domains_arg
+        $ candidates_arg ~doc:"Chunks-per-NPU granularities to try."))
   in
   Cmd.v
     (Cmd.info "tune" ~doc:"Sweep chunk granularities and report the fastest")
@@ -414,13 +430,6 @@ let tune_cmd =
 (* --- pareto ---------------------------------------------------------------- *)
 
 let pareto_cmd =
-  let candidates_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8; 16 ]
-      & info [ "candidates" ] ~docv:"K1,K2,..."
-          ~doc:"Chunks-per-NPU granularities to sweep.")
-  in
   let json_flag =
     Arg.(
       value & flag
@@ -429,57 +438,52 @@ let pareto_cmd =
             "Emit the full outcome (every point, the frontier, and the \
              dominated pairs) as one JSON document on stdout.")
   in
-  let run topo_str alpha bw size_str pattern_str seed trials domains candidates
-      sketch_path json =
-    with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
-        with_sketch sketch_path (fun sketch ->
-        match
-          Strategy.sweep ~seed ~trials ~domains ~candidates ?sketch topo
-            ~pattern ~size
-        with
-        | exception Sketch.Infeasible off ->
-          fail "sketch infeasible: %s" (Sketch.offender_to_string off)
-        | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-        | exception Synth.Unsupported msg -> fail "unsupported: %s" msg
-        | exception Invalid_argument msg -> fail "%s" msg
-        | outcome ->
-          if json then print_endline (Strategy.to_json outcome)
-          else begin
-            Format.printf "%s of %s on %a — latency/bandwidth tradeoffs@."
-              (Pattern.name pattern) (Units.bytes_pp size) Topology.pp topo;
-            let on_frontier p = List.memq p outcome.Strategy.frontier in
-            Table.print
-              ~header:
-                [
-                  "chunks/NPU"; "steps"; "sends"; "collective"; "simulated";
-                  "synth wall"; "frontier";
-                ]
-              (List.map
-                 (fun (p : Strategy.point) ->
-                   [
-                     string_of_int p.Strategy.chunks_per_npu;
-                     string_of_int p.Strategy.steps;
-                     string_of_int p.Strategy.sends;
-                     Units.time_pp p.Strategy.collective_time;
-                     Units.time_pp p.Strategy.simulated_time;
-                     Units.time_pp p.Strategy.synthesis_seconds;
-                     (if on_frontier p then "*" else "dominated");
-                   ])
-                 outcome.Strategy.points);
-            Format.printf
-              "frontier: %d of %d points non-dominated over (chunks, steps, \
-               simulated time)@."
-              (List.length outcome.Strategy.frontier)
-              (List.length outcome.Strategy.points)
-          end;
-          `Ok ()))
+  let run ((req : Protocol.request), (r : Service.resolved)) trials domains
+      candidates json =
+    reporting_failures @@ fun () ->
+    let outcome =
+      Strategy.sweep ~seed:r.seed ~trials ~domains ~candidates ?sketch:req.sketch
+        r.healthy ~pattern:r.pattern ~size:req.size
+    in
+    if json then print_endline (Strategy.to_json outcome)
+    else begin
+      Format.printf "%s of %s on %a — latency/bandwidth tradeoffs@."
+        (Pattern.name r.pattern) (Units.bytes_pp req.size) Topology.pp r.healthy;
+      let on_frontier p = List.memq p outcome.Strategy.frontier in
+      Table.print
+        ~header:
+          [
+            "chunks/NPU"; "steps"; "sends"; "collective"; "simulated"; "synth wall";
+            "frontier";
+          ]
+        (List.map
+           (fun (p : Strategy.point) ->
+             [
+               string_of_int p.Strategy.chunks_per_npu;
+               string_of_int p.Strategy.steps;
+               string_of_int p.Strategy.sends;
+               Units.time_pp p.Strategy.collective_time;
+               Units.time_pp p.Strategy.simulated_time;
+               Units.time_pp p.Strategy.synthesis_seconds;
+               (if on_frontier p then "*" else "dominated");
+             ])
+           outcome.Strategy.points);
+      Format.printf
+        "frontier: %d of %d points non-dominated over (chunks, steps, simulated \
+         time)@."
+        (List.length outcome.Strategy.frontier)
+        (List.length outcome.Strategy.points)
+    end;
+    `Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ seed_arg $ trials_arg $ domains_arg $ candidates_arg $ sketch_arg
-       $ json_flag))
+        (const run
+        $ request_term ~op:Protocol.Tune ~sketch:sketch_arg ()
+        $ trials_arg $ domains_arg
+        $ candidates_arg ~doc:"Chunks-per-NPU granularities to sweep."
+        $ json_flag))
   in
   Cmd.v
     (Cmd.info "pareto"
@@ -506,81 +510,64 @@ let profile_cmd =
              stream and the full per-transfer lifecycle (schema documented \
              in Tacos_obs.Trace).")
   in
-  let run topo_str alpha bw size_str pattern_str chunks seed trials out trace =
-    with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
-        let spec =
-          Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-            ~npus:(Topology.num_npus topo) ()
-        in
-        (* Everything below runs with the obs registry on: synthesis
-           populates the synth.*/router.* metrics, and replaying the
-           schedule under the congestion-aware simulator populates the
-           engine.* queueing metrics. *)
-        Obs.enable ();
-        Obs.reset ();
-        if trace then begin
-          Trace.enable ();
-          Trace.reset ()
-        end;
-        match Tacos.Router.dispatch ~seed ~trials topo spec with
-        | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-        | result ->
-          let program =
-            Tacos_sim.Program.of_schedule ~chunk_size:(Spec.chunk_size spec)
-              result.Synth.schedule
-          in
-          let sim = Tacos_sim.Engine.run topo program in
-          let snap = Obs.snapshot () in
-          let memo_hits = Obs.value (Obs.counter "synth.memo_hits") in
-          let scans = Obs.value (Obs.counter "synth.pick_scans") in
-          let memo_hit_rate =
-            if memo_hits + scans = 0 then 0.
-            else float_of_int memo_hits /. float_of_int (memo_hits + scans)
-          in
-          let num f = Json.Number f in
-          let doc =
-            Json.Object
-              ([
-                 ("topology", Json.String (Topology.name topo));
-                 ("npus", num (float_of_int (Topology.num_npus topo)));
-                 ("links", num (float_of_int (Topology.num_links topo)));
-                 ("pattern", Json.String (Pattern.name pattern));
-                 ("buffer_bytes", num size);
-                 ("chunks_per_npu", num (float_of_int chunks));
-                 ("seed", num (float_of_int seed));
-                 ("trials", num (float_of_int trials));
-                 ("collective_time_seconds", num result.Synth.collective_time);
-                 ("simulated_time_seconds", num sim.Tacos_sim.Engine.finish_time);
-                 ("synthesis_wall_seconds", num result.Synth.stats.Synth.wall_seconds);
-                 ("rounds", num (float_of_int result.Synth.stats.Synth.rounds));
-                 ("matches", num (float_of_int result.Synth.stats.Synth.matches));
-                 ("derived", Json.Object [ ("memo_hit_rate", num memo_hit_rate) ]);
-                 ("obs", snap);
-               ]
-              @
-              if trace then
-                [
-                  ("trace", Obs.trace_events ());
-                  ("lifecycle", Trace.to_json (Trace.dump ()));
-                ]
-              else [])
-          in
-          let text = Json.encode doc in
-          (match out with
-          | "-" -> print_endline text
-          | file ->
-            let oc = open_out file in
-            output_string oc text;
-            output_char oc '\n';
-            close_out oc;
-            Format.printf "profile written to %s@." file);
-          `Ok ())
+  let run ((req : Protocol.request), (r : Service.resolved)) trials out trace =
+    reporting_failures @@ fun () ->
+    let topo = r.healthy and spec = r.spec in
+    (* Everything below runs with the obs registry on: synthesis populates
+       the synth.*/router.* metrics, and replaying the schedule under the
+       congestion-aware simulator populates the engine.* queueing
+       metrics. *)
+    Obs.enable ();
+    Obs.reset ();
+    if trace then begin
+      Trace.enable ();
+      Trace.reset ()
+    end;
+    let result = Tacos.Router.dispatch ~seed:r.seed ~trials topo spec in
+    let simulated = Tacos.Tuner.simulated_time topo result in
+    let snap = Obs.snapshot () in
+    let memo_hits = Obs.value (Obs.counter "synth.memo_hits") in
+    let scans = Obs.value (Obs.counter "synth.pick_scans") in
+    let memo_hit_rate =
+      if memo_hits + scans = 0 then 0.
+      else float_of_int memo_hits /. float_of_int (memo_hits + scans)
+    in
+    let num f = Json.Number f in
+    let doc =
+      Json.Object
+        ([
+           ("topology", Json.String (Topology.name topo));
+           ("npus", num (float_of_int (Topology.num_npus topo)));
+           ("links", num (float_of_int (Topology.num_links topo)));
+           ("pattern", Json.String (Pattern.name r.pattern));
+           ("buffer_bytes", num req.size);
+           ("chunks_per_npu", num (float_of_int spec.Spec.chunks_per_npu));
+           ("seed", num (float_of_int r.seed));
+           ("trials", num (float_of_int trials));
+           ("collective_time_seconds", num result.Synth.collective_time);
+           ("simulated_time_seconds", num simulated);
+           ("synthesis_wall_seconds", num result.Synth.stats.Synth.wall_seconds);
+           ("rounds", num (float_of_int result.Synth.stats.Synth.rounds));
+           ("matches", num (float_of_int result.Synth.stats.Synth.matches));
+           ("derived", Json.Object [ ("memo_hit_rate", num memo_hit_rate) ]);
+           ("obs", snap);
+         ]
+        @
+        if trace then
+          [
+            ("trace", Obs.trace_events ());
+            ("lifecycle", Trace.to_json (Trace.dump ()));
+          ]
+        else [])
+    in
+    write_out ~what:"profile" out (Json.encode doc ^ "\n");
+    `Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ chunks_arg $ seed_arg $ trials_arg $ out_arg $ trace_arg))
+        (const run $ request_term ~chunks:chunks_arg () $ trials_arg $ out_arg
+       $ trace_arg))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -657,229 +644,240 @@ let parse_event s =
         (fun faults -> (at, Some faults))
         (parse_fault_spec (String.sub s (i + 1) (String.length s - i - 1))))
 
+(* A repair's validation verdict, as the suffix of its report line. *)
+let invalid_suffix = function
+  | Ok () -> ""
+  | Error e -> Printf.sprintf " [INVALID: %s]" e
+
 (* The mid-flight three-way comparison: replay-through-the-fault vs suffix
    repair vs full re-synthesis, all timed from the same fault instant. *)
-let midflight_run ~seed ~trials ~domains ~budget ~json topo spec size faults at_spec =
-  match Synth.synthesize ~seed ~trials topo spec with
-  | exception Synth.Stuck msg -> fail "healthy synthesis stuck: %s" msg
-  | exception Synth.Unsupported msg ->
-    fail "--at needs a synthesizer-supported pattern: %s" msg
-  | healthy ->
-    let chunk_size = Spec.chunk_size spec in
-    let program () = Sim_program.of_schedule ~chunk_size healthy.Synth.schedule in
-    let healthy_time = (Engine.run topo (program ())).Engine.finish_time in
-    let at =
-      match at_spec with
-      | `Seconds v -> v
-      | `Fraction f -> f *. healthy_time
-    in
-    Format.printf "healthy:      %s simulated; fault lands at %s@."
-      (Units.time_pp healthy_time) (Units.time_pp at);
-    let timeline = Fault.timeline ~at topo faults in
-    let replay =
-      match Engine.run ~faults:timeline topo (program ()) with
-      | report ->
-        if report.Engine.stranded = [] then Ok report.Engine.finish_time
-        else Error (Printf.sprintf "%d transfers stranded" (List.length report.Engine.stranded))
-      | exception (Engine.Simulation_error _ as e) -> Error (Printexc.to_string e)
-    in
-    (match replay with
-    | Ok t ->
-      Format.printf "replay:       %s (reroute in the engine, no re-planning)@."
-        (Units.time_pp t)
-    | Error why -> Format.printf "replay:       FAILS — %s@." why);
-    let repair =
-      Resilience.repair ~seed ~trials ~domains ?budget_ms:budget ~at topo faults
-        healthy
-    in
-    (match repair with
-    | Ok r ->
-      Format.printf "repair:       %s via %s (synthesized in %s)%s@."
-        (Units.time_pp r.Resilience.completion_time)
-        (Resilience.strategy_name r.Resilience.strategy)
-        (Units.time_pp r.Resilience.synth_wall_seconds)
-        (match r.Resilience.verified with
-        | Ok () -> ""
-        | Error e -> Printf.sprintf " [INVALID: %s]" e)
-    | Error f -> Format.printf "repair:       NONE — %a@." Resilience.pp_failure f);
-    let full =
-      Resilience.synthesize ~seed ~trials ~domains ?budget_ms:budget ~faults topo
-        spec
-    in
-    (match full with
-    | Ok o ->
-      Format.printf "resynthesis:  %s (full, synthesized in %s)@."
-        (Units.time_pp (at +. o.Resilience.simulated_time))
-        (Units.time_pp o.Resilience.wall_seconds)
-    | Error f -> Format.printf "resynthesis:  NONE — %a@." Resilience.pp_failure f);
-    (match (repair, full) with
-    | Ok r, Ok o when r.Resilience.synth_wall_seconds > 0. ->
-      Format.printf "speedup:      %.1fx less synthesis wall-clock from repairing@."
-        (o.Resilience.wall_seconds /. r.Resilience.synth_wall_seconds)
-    | _ -> ());
-    (match json with
-    | None -> ()
-    | Some dest ->
-      let outcome_json = function
-        | Ok (o : Resilience.outcome) ->
+let midflight_run ~trials ~domains ~budget ~report (r : Service.resolved)
+    healthy ~healthy_time faults at =
+  let topo = r.healthy and seed = r.seed in
+  Format.printf "healthy:      %s simulated; fault lands at %s@."
+    (Units.time_pp healthy_time) (Units.time_pp at);
+  let timeline = Fault.timeline ~at topo faults in
+  let program =
+    Sim_program.of_schedule ~chunk_size:(Spec.chunk_size r.spec)
+      healthy.Synth.schedule
+  in
+  let replay =
+    match Engine.run ~faults:timeline topo program with
+    | sim ->
+      if sim.Engine.stranded = [] then Ok sim.Engine.finish_time
+      else Error (Printf.sprintf "%d transfers stranded" (List.length sim.Engine.stranded))
+    | exception (Engine.Simulation_error _ as e) -> Error (Printexc.to_string e)
+  in
+  (match replay with
+  | Ok t ->
+    Format.printf "replay:       %s (reroute in the engine, no re-planning)@."
+      (Units.time_pp t)
+  | Error why -> Format.printf "replay:       FAILS — %s@." why);
+  let repair =
+    Resilience.repair ~seed ~trials ~domains ?budget_ms:budget ~at topo faults
+      healthy
+  in
+  (match repair with
+  | Ok p ->
+    Format.printf "repair:       %s via %s (synthesized in %s)%s@."
+      (Units.time_pp p.Resilience.completion_time)
+      (Resilience.strategy_name p.Resilience.strategy)
+      (Units.time_pp p.Resilience.synth_wall_seconds)
+      (invalid_suffix p.Resilience.verified)
+  | Error f -> Format.printf "repair:       NONE — %a@." Resilience.pp_failure f);
+  let full =
+    Resilience.synthesize ~seed ~trials ~domains ?budget_ms:budget ~faults topo
+      r.spec
+  in
+  (match full with
+  | Ok o ->
+    Format.printf "resynthesis:  %s (full, synthesized in %s)@."
+      (Units.time_pp (at +. o.Resilience.simulated_time))
+      (Units.time_pp o.Resilience.wall_seconds)
+  | Error f -> Format.printf "resynthesis:  NONE — %a@." Resilience.pp_failure f);
+  (match (repair, full) with
+  | Ok p, Ok o when p.Resilience.synth_wall_seconds > 0. ->
+    Format.printf "speedup:      %.1fx less synthesis wall-clock from repairing@."
+      (o.Resilience.wall_seconds /. p.Resilience.synth_wall_seconds)
+  | _ -> ());
+  report
+    [
+      ("at_seconds", Json.Number at);
+      ("healthy_seconds", Json.Number healthy_time);
+      ("faults", Json.Array (List.map Fault.to_json faults));
+      ( "replay",
+        match replay with
+        | Ok t -> Json.Object [ ("completion_seconds", Json.Number t) ]
+        | Error why -> Json.Object [ ("stranded", Json.String why) ] );
+      ( "repair",
+        match repair with
+        | Ok p ->
+          Json.Object
+            [
+              ("strategy", Json.String (Resilience.strategy_name p.Resilience.strategy));
+              ("completion_seconds", Json.Number p.Resilience.completion_time);
+              ("synth_wall_seconds", Json.Number p.Resilience.synth_wall_seconds);
+              ("verified", Json.Bool (Result.is_ok p.Resilience.verified));
+            ]
+        | Error f -> Resilience.failure_to_json f );
+      ( "full_resynthesis",
+        match full with
+        | Ok o ->
           Json.Object
             [
               ("completion_seconds", Json.Number (at +. o.Resilience.simulated_time));
               ("synth_wall_seconds", Json.Number o.Resilience.wall_seconds);
             ]
-        | Error f -> Resilience.failure_to_json f
-      in
-      let doc =
-        Json.Object
-          [
-            ("topology", Json.String (Topology.name topo));
-            ("pattern", Json.String (Pattern.name spec.Spec.pattern));
-            ("buffer_bytes", Json.Number size);
-            ("seed", Json.Number (float_of_int seed));
-            ("at_seconds", Json.Number at);
-            ("healthy_seconds", Json.Number healthy_time);
-            ("faults", Json.Array (List.map Fault.to_json faults));
-            ( "replay",
-              match replay with
-              | Ok t -> Json.Object [ ("completion_seconds", Json.Number t) ]
-              | Error why -> Json.Object [ ("stranded", Json.String why) ] );
-            ( "repair",
-              match repair with
-              | Ok r ->
-                Json.Object
-                  [
-                    ("strategy", Json.String (Resilience.strategy_name r.Resilience.strategy));
-                    ("completion_seconds", Json.Number r.Resilience.completion_time);
-                    ("synth_wall_seconds", Json.Number r.Resilience.synth_wall_seconds);
-                    ( "verified",
-                      Json.Bool (match r.Resilience.verified with Ok () -> true | Error _ -> false) );
-                  ]
-              | Error f -> Resilience.failure_to_json f );
-            ("full_resynthesis", outcome_json full);
-          ]
-      in
-      let text = Json.encode doc in
-      (match dest with
-      | "-" -> print_endline text
-      | file ->
-        let oc = open_out file in
-        output_string oc text;
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "report written to %s@." file));
-    `Ok ()
+        | Error f -> Resilience.failure_to_json f );
+    ]
 
 (* A multi-epoch fault timeline: each "--at T:SPEC" lands its own fault list
    mid-flight and the composite is incrementally re-repaired at every epoch
    (Resilience.repair_timeline). *)
-let multiflight_run ~seed ~trials ~domains ~budget ~json topo spec size
-    events_spec =
-  match Synth.synthesize ~seed ~trials topo spec with
-  | exception Synth.Stuck msg -> fail "healthy synthesis stuck: %s" msg
-  | exception Synth.Unsupported msg ->
-    fail "--at needs a synthesizer-supported pattern: %s" msg
-  | healthy ->
-    let chunk_size = Spec.chunk_size spec in
-    let healthy_time =
-      (Engine.run topo (Sim_program.of_schedule ~chunk_size healthy.Synth.schedule))
-        .Engine.finish_time
-    in
-    let events =
-      List.map
-        (fun (at_spec, faults) ->
-          ( (match at_spec with
-            | `Seconds v -> v
-            | `Fraction f -> f *. healthy_time),
-            faults ))
-        events_spec
-    in
-    Format.printf "healthy:      %s simulated; %d fault epochs@."
-      (Units.time_pp healthy_time) (List.length events);
+let multiflight_run ~trials ~domains ~budget ~report (r : Service.resolved)
+    healthy ~healthy_time events =
+  Format.printf "healthy:      %s simulated; %d fault epochs@."
+    (Units.time_pp healthy_time) (List.length events);
+  List.iter
+    (fun (at, faults) ->
+      Format.printf "epoch:        %s — %s@." (Units.time_pp at)
+        (String.concat ", " (List.map Fault.to_string faults)))
+    events;
+  match
+    Resilience.repair_timeline ~seed:r.seed ~trials ~domains ?budget_ms:budget
+      ~events r.healthy healthy
+  with
+  | exception Invalid_argument msg -> fail "%s" msg
+  | Error f ->
+    fail "timeline repair failed: %s"
+      (Format.asprintf "%a" Resilience.pp_failure f)
+  | Ok tr ->
     List.iter
-      (fun (at, faults) ->
-        Format.printf "epoch:        %s — %s@." (Units.time_pp at)
-          (String.concat ", " (List.map Fault.to_string faults)))
-      events;
-    (match
-       Resilience.repair_timeline ~seed ~trials ~domains ?budget_ms:budget
-         ~events topo healthy
-     with
-    | exception Invalid_argument msg -> fail "%s" msg
-    | Error f ->
-      fail "timeline repair failed: %s"
-        (Format.asprintf "%a" Resilience.pp_failure f)
-    | Ok tr ->
-      List.iter
-        (fun (e : Resilience.epoch) ->
-          let r = e.Resilience.repaired in
-          Format.printf "repair @@ %s: %s → completes %s (synthesized in %s)%s@."
-            (Units.time_pp e.Resilience.at)
-            (Resilience.strategy_name r.Resilience.strategy)
-            (Units.time_pp r.Resilience.completion_time)
-            (Units.time_pp r.Resilience.synth_wall_seconds)
-            (match r.Resilience.verified with
-            | Ok () -> ""
-            | Error e -> Printf.sprintf " [INVALID: %s]" e))
-        tr.Resilience.epochs;
-      Format.printf "final:        %s, %d sends, %s@."
-        (Units.time_pp tr.Resilience.completion_time)
-        (Schedule.num_sends tr.Resilience.schedule)
-        (match tr.Resilience.verified with
-        | Ok () -> "composite verified end to end"
-        | Error e -> "INVALID: " ^ e);
-      (match json with
-      | None -> ()
-      | Some dest ->
-        let doc =
+      (fun (e : Resilience.epoch) ->
+        let p = e.Resilience.repaired in
+        Format.printf "repair @@ %s: %s → completes %s (synthesized in %s)%s@."
+          (Units.time_pp e.Resilience.at)
+          (Resilience.strategy_name p.Resilience.strategy)
+          (Units.time_pp p.Resilience.completion_time)
+          (Units.time_pp p.Resilience.synth_wall_seconds)
+          (invalid_suffix p.Resilience.verified))
+      tr.Resilience.epochs;
+    Format.printf "final:        %s, %d sends, %s@."
+      (Units.time_pp tr.Resilience.completion_time)
+      (Schedule.num_sends tr.Resilience.schedule)
+      (match tr.Resilience.verified with
+      | Ok () -> "composite verified end to end"
+      | Error e -> "INVALID: " ^ e);
+    report
+      [
+        ("healthy_seconds", Json.Number healthy_time);
+        ( "epochs",
+          Json.Array
+            (List.map
+               (fun (e : Resilience.epoch) ->
+                 let p = e.Resilience.repaired in
+                 Json.Object
+                   [
+                     ("at_seconds", Json.Number e.Resilience.at);
+                     ("faults", Json.Array (List.map Fault.to_json e.Resilience.faults));
+                     ("strategy", Json.String (Resilience.strategy_name p.Resilience.strategy));
+                     ("completion_seconds", Json.Number p.Resilience.completion_time);
+                     ("synth_wall_seconds", Json.Number p.Resilience.synth_wall_seconds);
+                     ("verified", Json.Bool (Result.is_ok p.Resilience.verified));
+                   ])
+               tr.Resilience.epochs) );
+        ("completion_seconds", Json.Number tr.Resilience.completion_time);
+        ("sends", Json.Number (float_of_int (Schedule.num_sends tr.Resilience.schedule)));
+        ("verified", Json.Bool (Result.is_ok tr.Resilience.verified));
+      ]
+
+(* Sampled faults synthesized around on the degraded fabric through the
+   fallback ladder, then — when faults were injected — the degradation
+   analysis of the healthy schedule. *)
+let degraded_run ~trials ~budget ~report (r : Service.resolved) faults =
+  let topo = r.healthy and spec = r.spec and seed = r.seed in
+  let degraded = Fault.apply topo faults in
+  Format.printf "degraded:     %a@." Topology.pp degraded;
+  let connectivity = Fault.connectivity degraded in
+  Format.printf "connectivity: %a@." Fault.pp_connectivity connectivity;
+  let outcome =
+    Resilience.synthesize ~seed ~trials ?budget_ms:budget ~faults topo spec
+  in
+  (match outcome with
+  | Ok o ->
+    (match o.Resilience.plan with
+    | Resilience.Synthesized result ->
+      Format.printf "plan:         synthesized (%d sends, makespan %s)@."
+        (Schedule.num_sends result.Synth.schedule)
+        (Units.time_pp result.Synth.collective_time);
+      (match Synth.verify degraded result with
+      | Ok () ->
+        Format.printf "validation:   ok (congestion-free, postconditions met)@."
+      | Error e -> Format.printf "validation:   FAILED: %s@." e)
+    | Resilience.Baseline { algo; _ } ->
+      Format.printf "plan:         fallback baseline %s@." (Algo.name algo));
+    Format.printf "simulated:    %s (%s)@."
+      (Units.time_pp o.Resilience.simulated_time)
+      (Units.bandwidth_pp (spec.Spec.buffer_size /. o.Resilience.simulated_time));
+    if o.Resilience.retries > 0 then
+      Format.printf "retries:      %d@." o.Resilience.retries;
+    Format.printf "ladder:       %s@." (String.concat " -> " o.Resilience.rungs)
+  | Error f -> Format.printf "plan:         NONE — %a@." Resilience.pp_failure f);
+  (* Healthy-vs-degraded: what re-synthesis buys over replaying the healthy
+     schedule (only meaningful with faults and a synthesizer-supported
+     pattern). *)
+  let analysis =
+    if faults = [] then None
+    else
+      match Synth.synthesize ~seed ~trials topo spec with
+      | healthy -> Some (Resilience.analyze ~seed ~trials topo faults healthy)
+      | exception (Synth.Stuck _ | Synth.Unsupported _) -> None
+  in
+  (match analysis with
+  | None -> ()
+  | Some a ->
+    Format.printf "healthy plan: %s on the degraded fabric@."
+      (Resilience.health_to_string a.Resilience.health);
+    (match (a.Resilience.replay_time, a.Resilience.resynth_time) with
+    | Some replay, Some resynth ->
+      Format.printf "replay:       %s; re-synthesis: %s@." (Units.time_pp replay)
+        (Units.time_pp resynth)
+    | _ -> ());
+    match a.Resilience.advantage with
+    | Some adv -> Format.printf "advantage:    %.2fx from re-synthesis@." adv
+    | None -> ());
+  Format.printf "fallback counters:@.";
+  List.iter
+    (fun name -> Format.printf "  %-32s %d@." name (Obs.value (Obs.counter name)))
+    [
+      "resilience.synth_ok";
+      "resilience.synth_retries";
+      "resilience.fallback_baseline";
+      "resilience.failures";
+      "resilience.disconnected_inputs";
+    ];
+  report
+    [
+      ("faults", Json.Array (List.map Fault.to_json faults));
+      ( "connectivity",
+        Json.String (Format.asprintf "%a" Fault.pp_connectivity connectivity) );
+      ( "outcome",
+        match outcome with
+        | Ok o ->
           Json.Object
             [
-              ("topology", Json.String (Topology.name topo));
-              ("pattern", Json.String (Pattern.name spec.Spec.pattern));
-              ("buffer_bytes", Json.Number size);
-              ("seed", Json.Number (float_of_int seed));
-              ("healthy_seconds", Json.Number healthy_time);
-              ( "epochs",
-                Json.Array
-                  (List.map
-                     (fun (e : Resilience.epoch) ->
-                       let r = e.Resilience.repaired in
-                       Json.Object
-                         [
-                           ("at_seconds", Json.Number e.Resilience.at);
-                           ( "faults",
-                             Json.Array (List.map Fault.to_json e.Resilience.faults) );
-                           ( "strategy",
-                             Json.String
-                               (Resilience.strategy_name r.Resilience.strategy) );
-                           ( "completion_seconds",
-                             Json.Number r.Resilience.completion_time );
-                           ( "synth_wall_seconds",
-                             Json.Number r.Resilience.synth_wall_seconds );
-                           ( "verified",
-                             Json.Bool
-                               (match r.Resilience.verified with
-                               | Ok () -> true
-                               | Error _ -> false) );
-                         ])
-                     tr.Resilience.epochs) );
-              ("completion_seconds", Json.Number tr.Resilience.completion_time);
-              ("sends", Json.Number (float_of_int (Schedule.num_sends tr.Resilience.schedule)));
-              ( "verified",
-                Json.Bool
-                  (match tr.Resilience.verified with Ok () -> true | Error _ -> false)
-              );
+              ( "plan",
+                Json.String
+                  (match o.Resilience.plan with
+                  | Resilience.Synthesized _ -> "synthesized"
+                  | Resilience.Baseline { algo; _ } -> "baseline " ^ Algo.name algo) );
+              ("simulated_seconds", Json.Number o.Resilience.simulated_time);
+              ("retries", Json.Number (float_of_int o.Resilience.retries));
+              ("ladder", Json.Array (List.map (fun s -> Json.String s) o.Resilience.rungs));
             ]
-        in
-        let text = Json.encode doc in
-        match dest with
-        | "-" -> print_endline text
-        | file ->
-          let oc = open_out file in
-          output_string oc text;
-          output_char oc '\n';
-          close_out oc;
-          Format.printf "report written to %s@." file);
-      `Ok ())
+        | Error f -> Resilience.failure_to_json f );
+      ("obs", Obs.snapshot ());
+    ]
 
 let faults_cmd =
   let fail_links_arg =
@@ -933,195 +931,100 @@ let faults_cmd =
                 60%:kill-npu=2,degrade=7x4 — to repair a whole fault \
                 timeline incrementally, epoch by epoch.")
   in
-  let run topo_str alpha bw size_str pattern_str chunks seed trials domains
-      fail_links fail_npus degrade degrade_factor budget at_strs json =
-    with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
-        let spec =
-          Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-            ~npus:(Topology.num_npus topo) ()
-        in
-        (* Deterministic fault set from one seed: kills, NPU kills, then
-           degradations, all drawn from the same stream. *)
-        let rng = Tacos_util.Rng.create seed in
-        match
-          let kills = Fault.random_link_kills rng topo fail_links in
-          let npus = Fault.random_npu_kills rng topo fail_npus in
-          let slow =
-            Fault.random_degradations rng ~factor:degrade_factor topo degrade
-          in
-          kills @ npus @ slow
-        with
-        | exception Invalid_argument msg -> fail "%s" msg
-        | faults when at_strs <> [] -> (
-          let parsed =
-            List.fold_left
-              (fun acc s ->
-                match (acc, parse_event s) with
-                | Error _, _ -> acc
-                | _, Error e -> Error e
-                | Ok evs, Ok ev -> Ok (evs @ [ ev ]))
-              (Ok []) at_strs
-          in
-          match parsed with
-          | Error e -> fail "%s" e
-          | Ok [ (at_spec, None) ] ->
-            (* Legacy single-event form: the sampled faults land at T. *)
-            Format.printf "topology:     %a@." Topology.pp topo;
-            Format.printf "collective:   %a@." Spec.pp spec;
-            if faults = [] then Format.printf "faults:       none@."
-            else
-              List.iter
-                (fun f -> Format.printf "fault:        %a@." Fault.pp f)
-                faults;
-            midflight_run ~seed ~trials ~domains ~budget ~json topo spec size
-              faults at_spec
-          | Ok events when List.exists (fun (_, fs) -> fs = None) events ->
-            fail
-              "a fault timeline needs each --at to carry its faults: --at \
-               T:kill-link=N,..."
-          | Ok _ when faults <> [] ->
-            fail
-              "--fail-links/--fail-npus/--degrade cannot combine with an \
-               explicit --at T:SPEC timeline"
-          | Ok events ->
-            let events =
-              List.map (fun (at, fs) -> (at, Option.get fs)) events
-            in
-            Format.printf "topology:     %a@." Topology.pp topo;
-            Format.printf "collective:   %a@." Spec.pp spec;
-            multiflight_run ~seed ~trials ~domains ~budget ~json topo spec
-              size events)
-        | faults ->
-          Obs.enable ();
-          Obs.reset ();
-          Format.printf "topology:     %a@." Topology.pp topo;
-          Format.printf "collective:   %a@." Spec.pp spec;
-          if faults = [] then Format.printf "faults:       none@."
-          else
-            List.iter
-              (fun f -> Format.printf "fault:        %a@." Fault.pp f)
-              faults;
-          let degraded = Fault.apply topo faults in
-          Format.printf "degraded:     %a@." Topology.pp degraded;
-          let connectivity = Fault.connectivity degraded in
-          Format.printf "connectivity: %a@." Fault.pp_connectivity connectivity;
-          (* The whole pipeline: fallback-ladder synthesis on the
-             degraded fabric, then — when faults were injected — the
-             degradation analysis of the healthy schedule. *)
-          let outcome =
-            Resilience.synthesize ~seed ~trials ?budget_ms:budget ~faults topo
-              spec
-          in
-          (match outcome with
-          | Ok o ->
-            (match o.Resilience.plan with
-            | Resilience.Synthesized result ->
-              Format.printf "plan:         synthesized (%d sends, makespan %s)@."
-                (Schedule.num_sends result.Synth.schedule)
-                (Units.time_pp result.Synth.collective_time);
-              (match Synth.verify degraded result with
-              | Ok () ->
-                Format.printf
-                  "validation:   ok (congestion-free, postconditions met)@."
-              | Error e -> Format.printf "validation:   FAILED: %s@." e)
-            | Resilience.Baseline { algo; _ } ->
-              Format.printf "plan:         fallback baseline %s@." (Algo.name algo));
-            Format.printf "simulated:    %s (%s)@."
-              (Units.time_pp o.Resilience.simulated_time)
-              (Units.bandwidth_pp (size /. o.Resilience.simulated_time));
-            if o.Resilience.retries > 0 then
-              Format.printf "retries:      %d@." o.Resilience.retries;
-            Format.printf "ladder:       %s@."
-              (String.concat " -> " o.Resilience.rungs)
-          | Error f -> Format.printf "plan:         NONE — %a@." Resilience.pp_failure f);
-          (* Healthy-vs-degraded: what re-synthesis buys over replaying
-             the healthy schedule (only meaningful with faults and a
-             synthesizer-supported pattern). *)
-          let analysis =
-            if faults = [] then None
-            else
-              match Synth.synthesize ~seed ~trials topo spec with
-              | healthy ->
-                Some (Resilience.analyze ~seed ~trials topo faults healthy)
-              | exception (Synth.Stuck _ | Synth.Unsupported _) -> None
-          in
-          (match analysis with
-          | None -> ()
-          | Some a ->
-            Format.printf "healthy plan: %s on the degraded fabric@."
-              (Resilience.health_to_string a.Resilience.health);
-            (match (a.Resilience.replay_time, a.Resilience.resynth_time) with
-            | Some replay, Some resynth ->
-              Format.printf "replay:       %s; re-synthesis: %s@."
-                (Units.time_pp replay) (Units.time_pp resynth)
-            | _ -> ());
-            match a.Resilience.advantage with
-            | Some adv -> Format.printf "advantage:    %.2fx from re-synthesis@." adv
-            | None -> ());
-          Format.printf "fallback counters:@.";
-          List.iter
-            (fun name ->
-              Format.printf "  %-32s %d@." name (Obs.value (Obs.counter name)))
+  let run (_, (r : Service.resolved)) trials domains fail_links fail_npus degrade
+      degrade_factor budget at_strs json =
+    reporting_failures @@ fun () ->
+    let topo = r.healthy and spec = r.spec in
+    (* Deterministic fault set from one seed: kills, NPU kills, then
+       degradations, all drawn from the same stream. *)
+    let rng = Tacos_util.Rng.create r.seed in
+    let events =
+      List.fold_left
+        (fun acc s ->
+          match (acc, parse_event s) with
+          | Error _, _ -> acc
+          | _, Error e -> Error e
+          | Ok evs, Ok ev -> Ok (evs @ [ ev ]))
+        (Ok []) at_strs
+    in
+    match
+      let kills = Fault.random_link_kills rng topo fail_links in
+      let npus = Fault.random_npu_kills rng topo fail_npus in
+      let slow = Fault.random_degradations rng ~factor:degrade_factor topo degrade in
+      kills @ npus @ slow
+    with
+    | exception Invalid_argument msg -> fail "%s" msg
+    | faults -> (
+      let mode =
+        match events with
+        | Error e -> Error e
+        | Ok [] -> Ok `Degraded
+        (* Single-event form: the sampled faults land at T. *)
+        | Ok [ (at, None) ] -> Ok (`Midflight at)
+        | Ok evs when List.exists (fun (_, fs) -> fs = None) evs ->
+          Error
+            "a fault timeline needs each --at to carry its faults: --at \
+             T:kill-link=N,..."
+        | Ok _ when faults <> [] ->
+          Error
+            "--fail-links/--fail-npus/--degrade cannot combine with an \
+             explicit --at T:SPEC timeline"
+        | Ok evs -> Ok (`Timeline (List.map (fun (at, fs) -> (at, Option.get fs)) evs))
+      in
+      match mode with
+      | Error e -> fail "%s" e
+      | Ok mode -> (
+        (* The fields every JSON report starts with. *)
+        let report fields =
+          let head =
             [
-              "resilience.synth_ok";
-              "resilience.synth_retries";
-              "resilience.fallback_baseline";
-              "resilience.failures";
-              "resilience.disconnected_inputs";
-            ];
-          (match json with
-          | None -> ()
-          | Some dest ->
-            let doc =
-              Json.Object
-                [
-                  ("topology", Json.String (Topology.name topo));
-                  ("pattern", Json.String (Pattern.name pattern));
-                  ("buffer_bytes", Json.Number size);
-                  ("seed", Json.Number (float_of_int seed));
-                  ("faults", Json.Array (List.map Fault.to_json faults));
-                  ( "connectivity",
-                    Json.String
-                      (Format.asprintf "%a" Fault.pp_connectivity connectivity) );
-                  ( "outcome",
-                    match outcome with
-                    | Ok o ->
-                      Json.Object
-                        [
-                          ( "plan",
-                            Json.String
-                              (match o.Resilience.plan with
-                              | Resilience.Synthesized _ -> "synthesized"
-                              | Resilience.Baseline { algo; _ } ->
-                                "baseline " ^ Algo.name algo) );
-                          ("simulated_seconds", Json.Number o.Resilience.simulated_time);
-                          ("retries", Json.Number (float_of_int o.Resilience.retries));
-                          ( "ladder",
-                            Json.Array
-                              (List.map (fun r -> Json.String r) o.Resilience.rungs) );
-                        ]
-                    | Error f -> Resilience.failure_to_json f );
-                  ("obs", Obs.snapshot ());
-                ]
-            in
-            let text = Json.encode doc in
-            (match dest with
-            | "-" -> print_endline text
-            | file ->
-              let oc = open_out file in
-              output_string oc text;
-              output_char oc '\n';
-              close_out oc;
-              Format.printf "report written to %s@." file));
-          `Ok ())
+              ("topology", Json.String (Topology.name topo));
+              ("pattern", Json.String (Pattern.name r.pattern));
+              ("buffer_bytes", Json.Number spec.Spec.buffer_size);
+              ("seed", Json.Number (float_of_int r.seed));
+            ]
+          in
+          Option.iter
+            (fun dest ->
+              write_out ~what:"report" dest (Json.encode (Json.Object (head @ fields)) ^ "\n"))
+            json;
+          `Ok ()
+        in
+        if mode = `Degraded then begin
+          Obs.enable ();
+          Obs.reset ()
+        end;
+        Format.printf "topology:     %a@." Topology.pp topo;
+        Format.printf "collective:   %a@." Spec.pp spec;
+        (match mode with
+        | `Timeline _ -> ()
+        | _ when faults = [] -> Format.printf "faults:       none@."
+        | _ -> List.iter (fun f -> Format.printf "fault:        %a@." Fault.pp f) faults);
+        (* The --at modes land faults on the healthy schedule; a fraction
+           resolves against its simulated completion time. *)
+        let healthy () =
+          let healthy = Synth.synthesize ~seed:r.seed ~trials topo spec in
+          let healthy_time = Tacos.Tuner.simulated_time topo healthy in
+          let seconds = function `Seconds v -> v | `Fraction f -> f *. healthy_time in
+          (healthy, healthy_time, seconds)
+        in
+        match mode with
+        | `Degraded -> degraded_run ~trials ~budget ~report r faults
+        | `Midflight at ->
+          let healthy, healthy_time, seconds = healthy () in
+          midflight_run ~trials ~domains ~budget ~report r healthy ~healthy_time
+            faults (seconds at)
+        | `Timeline events ->
+          let healthy, healthy_time, seconds = healthy () in
+          multiflight_run ~trials ~domains ~budget ~report r healthy ~healthy_time
+            (List.map (fun (at, fs) -> (seconds at, fs)) events)))
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ chunks_arg $ seed_arg $ trials_arg $ domains_arg $ fail_links_arg
-       $ fail_npus_arg $ degrade_arg $ degrade_factor_arg $ budget_arg $ at_arg
-       $ json_out))
+        (const run $ request_term ~chunks:chunks_arg () $ trials_arg $ domains_arg
+       $ fail_links_arg $ fail_npus_arg $ degrade_arg $ degrade_factor_arg
+       $ budget_arg $ at_arg $ json_out))
   in
   Cmd.v
     (Cmd.info "faults"
@@ -1153,8 +1056,8 @@ let trace_cmd =
       & info [ "validate" ] ~docv:"FILE"
           ~doc:
             "Validate an existing Chrome trace-event JSON file (structure, \
-             monotone timestamps, balanced async pairs) and exit; all other \
-             options are ignored.")
+             monotone timestamps, balanced async pairs) and exit; nothing is \
+             synthesized.")
   in
   (* 40-bin ASCII Gantt of one link's busy intervals over [0, span]. *)
   let gantt span intervals =
@@ -1174,8 +1077,7 @@ let trace_cmd =
           else ' ')
     end
   in
-  let run topo_str alpha bw size_str pattern_str chunks seed trials out top
-      validate_file =
+  let run (_, (r : Service.resolved)) trials out top validate_file =
     match validate_file with
     | Some file -> (
       let text = In_channel.with_open_bin file In_channel.input_all in
@@ -1188,151 +1090,139 @@ let trace_cmd =
           `Ok ()
         | Error e -> fail "%s: INVALID: %s" file e))
     | None ->
-      with_inputs topo_str alpha bw size_str pattern_str (fun topo size pattern ->
-          let spec =
-            Spec.make ~chunks_per_npu:chunks ~buffer_size:size ~pattern
-              ~npus:(Topology.num_npus topo) ()
+      reporting_failures @@ fun () ->
+      let topo = r.healthy and spec = r.spec in
+      Trace.enable ();
+      Trace.reset ();
+      let result = Tacos.Router.dispatch ~seed:r.seed ~trials topo spec in
+      (* Transfer tags carry the collective phase ("phase:chunkN")
+         so the analyzer can attribute the makespan per phase. *)
+      let tag_of =
+        match result.Synth.phases with
+        | Some (rs, _) ->
+          fun (s : Schedule.send) ->
+            Printf.sprintf "%s:chunk%d"
+              (Schedule.phase_of_send ~reduce_scatter:rs s)
+              s.chunk
+        | None ->
+          let name = Pattern.name r.pattern in
+          fun (s : Schedule.send) ->
+            Printf.sprintf "%s:chunk%d" name s.chunk
+      in
+      let program =
+        Sim_program.of_schedule ~tag_of ~chunk_size:(Spec.chunk_size spec)
+          result.Synth.schedule
+      in
+      let sim = Engine.run topo program in
+      let d = Trace.dump () in
+      let transfers = Sim_program.transfers program in
+      let phase_of tid =
+        let tag = transfers.(tid).Sim_program.tag in
+        match String.index_opt tag ':' with
+        | Some i -> String.sub tag 0 i
+        | None -> tag
+      in
+      let edge_ends = Array.make (Topology.num_links topo) (0, 0) in
+      List.iter
+        (fun (e : Topology.edge) -> edge_ends.(e.id) <- (e.src, e.dst))
+        (Topology.edges topo);
+      let link_label l =
+        let src, dst = edge_ends.(l) in
+        Printf.sprintf "link %d (%d->%d)" l src dst
+      in
+      let transfer_label tid =
+        Printf.sprintf "t%d %s" tid transfers.(tid).Sim_program.tag
+      in
+      let doc =
+        Chrome.export ~link_label ~transfer_label
+          ~num_links:(Topology.num_links topo) d
+      in
+      match Chrome.validate doc with
+      | Error e -> fail "internal: emitted trace fails validation: %s" e
+      | Ok () ->
+        write_out out (Json.encode doc ^ "\n");
+        Format.printf "topology:        %a@." Topology.pp topo;
+        Format.printf "collective:      %a@." Spec.pp spec;
+        Format.printf "simulated time:  %s@."
+          (Units.time_pp sim.Engine.finish_time);
+        Format.printf "trace:           %d events, %d spans%s@."
+          (List.length d.Trace.events)
+          (List.length d.Trace.spans)
+          (if d.Trace.dropped > 0 then
+             Printf.sprintf " (%d dropped at the buffer cap)" d.Trace.dropped
+           else "");
+        (match Critpath.analyze ~phase_of d.Trace.events with
+        | None ->
+          Format.printf "critical path:   (no completed transfers)@."
+        | Some cp ->
+          let attributed = Critpath.attributed_total cp in
+          Format.printf
+            "critical path:   ends at t%d; %s attributed of %s makespan@."
+            cp.Critpath.critical_transfer (Units.time_pp attributed)
+            (Units.time_pp cp.Critpath.makespan);
+          Table.print
+            ~header:[ "where the time went"; "seconds"; "share" ]
+            (List.map
+               (fun (c, v) ->
+                 [
+                   Critpath.category_name c;
+                   Units.time_pp v;
+                   Table.cell_percent
+                     (if cp.Critpath.makespan > 0. then
+                        v /. cp.Critpath.makespan
+                      else 0.);
+                 ])
+               cp.Critpath.totals);
+          if cp.Critpath.per_phase <> [] then begin
+            Format.printf "per collective phase:@.";
+            Table.print
+              ~header:[ "phase"; "seconds"; "share" ]
+              (List.map
+                 (fun (phase, cats) ->
+                   let v =
+                     List.fold_left (fun acc (_, w) -> acc +. w) 0. cats
+                   in
+                   [
+                     phase;
+                     Units.time_pp v;
+                     Table.cell_percent
+                       (if cp.Critpath.makespan > 0. then
+                          v /. cp.Critpath.makespan
+                        else 0.);
+                   ])
+                 cp.Critpath.per_phase)
+          end;
+          let top_links =
+            List.filteri (fun i _ -> i < top) cp.Critpath.per_link
           in
-          Trace.enable ();
-          Trace.reset ();
-          match Tacos.Router.dispatch ~seed ~trials topo spec with
-          | exception Synth.Stuck msg -> fail "synthesis stuck: %s" msg
-          | result ->
-            (* Transfer tags carry the collective phase ("phase:chunkN")
-               so the analyzer can attribute the makespan per phase. *)
-            let tag_of =
-              match result.Synth.phases with
-              | Some (rs, _) ->
-                fun (s : Schedule.send) ->
-                  Printf.sprintf "%s:chunk%d"
-                    (Schedule.phase_of_send ~reduce_scatter:rs s)
-                    s.chunk
-              | None ->
-                let name = Pattern.name pattern in
-                fun (s : Schedule.send) ->
-                  Printf.sprintf "%s:chunk%d" name s.chunk
-            in
-            let program =
-              Sim_program.of_schedule ~tag_of ~chunk_size:(Spec.chunk_size spec)
-                result.Synth.schedule
-            in
-            let sim = Engine.run topo program in
-            let d = Trace.dump () in
-            let transfers = Sim_program.transfers program in
-            let phase_of tid =
-              let tag = transfers.(tid).Sim_program.tag in
-              match String.index_opt tag ':' with
-              | Some i -> String.sub tag 0 i
-              | None -> tag
-            in
-            let edge_ends = Array.make (Topology.num_links topo) (0, 0) in
+          if top_links <> [] then begin
+            Format.printf
+              "top critical links (busy over [0, %s], # >=75%% busy):@."
+              (Units.time_pp sim.Engine.finish_time);
             List.iter
-              (fun (e : Topology.edge) -> edge_ends.(e.id) <- (e.src, e.dst))
-              (Topology.edges topo);
-            let link_label l =
-              let src, dst = edge_ends.(l) in
-              Printf.sprintf "link %d (%d->%d)" l src dst
-            in
-            let transfer_label tid =
-              Printf.sprintf "t%d %s" tid transfers.(tid).Sim_program.tag
-            in
-            let doc =
-              Chrome.export ~link_label ~transfer_label
-                ~num_links:(Topology.num_links topo) d
-            in
-            match Chrome.validate doc with
-            | Error e -> fail "internal: emitted trace fails validation: %s" e
-            | Ok () ->
-              let text = Json.encode doc in
-              (match out with
-              | "-" -> print_endline text
-              | file ->
-                let oc = open_out file in
-                output_string oc text;
-                output_char oc '\n';
-                close_out oc);
-              Format.printf "topology:        %a@." Topology.pp topo;
-              Format.printf "collective:      %a@." Spec.pp spec;
-              Format.printf "simulated time:  %s@."
-                (Units.time_pp sim.Engine.finish_time);
-              Format.printf "trace:           %d events, %d spans%s@."
-                (List.length d.Trace.events)
-                (List.length d.Trace.spans)
-                (if d.Trace.dropped > 0 then
-                   Printf.sprintf " (%d dropped at the buffer cap)" d.Trace.dropped
-                 else "");
-              (match Critpath.analyze ~phase_of d.Trace.events with
-              | None ->
-                Format.printf "critical path:   (no completed transfers)@."
-              | Some cp ->
-                let attributed = Critpath.attributed_total cp in
-                Format.printf
-                  "critical path:   ends at t%d; %s attributed of %s makespan@."
-                  cp.Critpath.critical_transfer (Units.time_pp attributed)
-                  (Units.time_pp cp.Critpath.makespan);
-                Table.print
-                  ~header:[ "where the time went"; "seconds"; "share" ]
-                  (List.map
-                     (fun (c, v) ->
-                       [
-                         Critpath.category_name c;
-                         Units.time_pp v;
-                         Table.cell_percent
-                           (if cp.Critpath.makespan > 0. then
-                              v /. cp.Critpath.makespan
-                            else 0.);
-                       ])
-                     cp.Critpath.totals);
-                if cp.Critpath.per_phase <> [] then begin
-                  Format.printf "per collective phase:@.";
-                  Table.print
-                    ~header:[ "phase"; "seconds"; "share" ]
-                    (List.map
-                       (fun (phase, cats) ->
-                         let v =
-                           List.fold_left (fun acc (_, w) -> acc +. w) 0. cats
-                         in
-                         [
-                           phase;
-                           Units.time_pp v;
-                           Table.cell_percent
-                             (if cp.Critpath.makespan > 0. then
-                                v /. cp.Critpath.makespan
-                              else 0.);
-                         ])
-                       cp.Critpath.per_phase)
-                end;
-                let top_links =
-                  List.filteri (fun i _ -> i < top) cp.Critpath.per_link
+              (fun (l, cats) ->
+                let v =
+                  List.fold_left (fun acc (_, w) -> acc +. w) 0. cats
                 in
-                if top_links <> [] then begin
-                  Format.printf
-                    "top critical links (busy over [0, %s], # >=75%% busy):@."
-                    (Units.time_pp sim.Engine.finish_time);
-                  List.iter
-                    (fun (l, cats) ->
-                      let v =
-                        List.fold_left (fun acc (_, w) -> acc +. w) 0. cats
-                      in
-                      Format.printf "  %-18s |%s| %s on path@." (link_label l)
-                        (gantt sim.Engine.finish_time
-                           sim.Engine.link_intervals.(l))
-                        (Units.time_pp v))
-                    top_links
-                end);
-              (match out with
-              | "-" -> ()
-              | file ->
-                Format.printf
-                  "trace written to %s (load in Perfetto / chrome://tracing)@."
-                    file);
-              `Ok ())
+                Format.printf "  %-18s |%s| %s on path@." (link_label l)
+                  (gantt sim.Engine.finish_time
+                     sim.Engine.link_intervals.(l))
+                  (Units.time_pp v))
+              top_links
+          end);
+        (match out with
+        | "-" -> ()
+        | file ->
+          Format.printf
+            "trace written to %s (load in Perfetto / chrome://tracing)@."
+              file);
+        `Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern_arg
-       $ chunks_arg $ seed_arg $ trials_arg $ out_arg $ top_arg $ validate_arg))
+        (const run $ request_term ~chunks:chunks_arg () $ trials_arg $ out_arg
+       $ top_arg $ validate_arg))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1341,6 +1231,7 @@ let trace_cmd =
           schedule, write it as Chrome trace-event JSON (Perfetto), and print \
           the critical-path attribution of the makespan")
     term
+
 
 (* --- serve ------------------------------------------------------------------ *)
 
@@ -1374,7 +1265,7 @@ let serve_cmd =
   let max_disk_mb_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "max-disk-mb" ] ~docv:"MB"
           ~doc:
             "Cap the --registry disk store at $(docv) mebibytes: past it, \
@@ -1383,7 +1274,7 @@ let serve_cmd =
   in
   let queue_limit_arg =
     Arg.(
-      value & opt int 16
+      value & opt positive_int 16
       & info [ "queue-limit" ] ~docv:"N"
           ~doc:
             "Max in-flight requests before load is shed with structured \
@@ -1443,11 +1334,7 @@ let serve_cmd =
       metrics_file metrics_interval access_log seed trials domains =
     if (not stdio) && socket = None then
       fail "pass --stdio or --socket PATH (nothing to serve on)"
-    else if trials <= 0 || domains <= 0 || queue_limit <= 0 then
-      fail "--trials, --domains and --queue-limit must be positive"
     else if metrics_interval <= 0. then fail "--metrics-interval must be positive"
-    else if (match max_disk_mb with Some mb -> mb <= 0 | None -> false) then
-      fail "--max-disk-mb must be positive"
     else if max_disk_mb <> None && registry_dir = None then
       fail "--max-disk-mb needs --registry DIR (nothing on disk to cap)"
     else begin
@@ -1763,36 +1650,40 @@ let top_cmd =
 
 let info_cmd =
   let run topo_str alpha bw =
-    with_setup topo_str alpha bw (fun topo ->
-        Format.printf "%a@." Topology.pp topo;
-        Format.printf "strongly connected: %b@." (Topology.is_strongly_connected topo);
-        Format.printf "diameter (latency): %s@."
-          (Units.time_pp (Topology.diameter_latency topo));
-        Format.printf "min ingress bw:     %s@."
-          (Units.bandwidth_pp (Topology.min_ingress_bandwidth topo));
-        Format.printf "total bw:           %s@."
-          (Units.bandwidth_pp (Topology.total_bandwidth topo));
-        (match Topology.hierarchy topo with
-        | Some dims ->
-          Format.printf "hierarchy:          %s@."
-            (String.concat " x "
-               (Array.to_list
-                  (Array.map
-                     (fun (d : Topology.dim) ->
-                       let kind =
-                         match d.kind with
-                         | Topology.Ring_dim -> "Ring"
-                         | Topology.Mesh_dim -> "Mesh"
-                         | Topology.Fully_connected_dim -> "FC"
-                         | Topology.Switch_dim k -> Printf.sprintf "Switch(d=%d)" k
-                       in
-                       Printf.sprintf "%s[%d]" kind d.size)
-                     dims)))
-        | None -> ());
-        (match Topology.rings topo with
-        | Some rings -> Format.printf "ring embeddings:    %d recorded@." (List.length rings)
-        | None -> ());
-        `Ok ())
+    match
+      Parse.parse_topology ~alpha:(alpha *. 1e-6) ~bw:(Units.gbps bw) topo_str
+    with
+    | Error e -> fail "%s" e
+    | Ok topo ->
+      Format.printf "%a@." Topology.pp topo;
+      Format.printf "strongly connected: %b@." (Topology.is_strongly_connected topo);
+      Format.printf "diameter (latency): %s@."
+        (Units.time_pp (Topology.diameter_latency topo));
+      Format.printf "min ingress bw:     %s@."
+        (Units.bandwidth_pp (Topology.min_ingress_bandwidth topo));
+      Format.printf "total bw:           %s@."
+        (Units.bandwidth_pp (Topology.total_bandwidth topo));
+      (match Topology.hierarchy topo with
+      | Some dims ->
+        Format.printf "hierarchy:          %s@."
+          (String.concat " x "
+             (Array.to_list
+                (Array.map
+                   (fun (d : Topology.dim) ->
+                     let kind =
+                       match d.kind with
+                       | Topology.Ring_dim -> "Ring"
+                       | Topology.Mesh_dim -> "Mesh"
+                       | Topology.Fully_connected_dim -> "FC"
+                       | Topology.Switch_dim k -> Printf.sprintf "Switch(d=%d)" k
+                     in
+                     Printf.sprintf "%s[%d]" kind d.size)
+                   dims)))
+      | None -> ());
+      (match Topology.rings topo with
+      | Some rings -> Format.printf "ring embeddings:    %d recorded@." (List.length rings)
+      | None -> ());
+      `Ok ()
   in
   let term = Term.(ret (const run $ topology_arg $ alpha_arg $ bw_arg)) in
   Cmd.v (Cmd.info "info" ~doc:"Show topology properties") term

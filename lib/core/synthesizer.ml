@@ -106,42 +106,6 @@ let validate_goal ~num_npus:n goal =
       List.iter (fun r -> check_pair "partials" (r, c)) absorbed)
     goal.partials
 
-(* Fail fast on broken fabrics: a postcondition (d, c) is satisfiable iff
-   some initial holder of c can reach d. Strong connectivity implies every
-   postcondition is reachable, so the O(n·(n+m)) analysis only runs after
-   the cheap connectivity test fails — the healthy-fabric path pays one
-   DFS pair per trial. *)
-let unreachable_postconditions topo goal =
-  let n = Topology.num_npus topo in
-  let reach_cache = Hashtbl.create 8 in
-  let reachable_from s =
-    match Hashtbl.find_opt reach_cache s with
-    | Some seen -> seen
-    | None ->
-      let seen = Array.make n false in
-      let rec visit v =
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          List.iter (fun (e : Topology.edge) -> visit e.dst) (Topology.out_edges topo v)
-        end
-      in
-      visit s;
-      Hashtbl.add reach_cache s seen;
-      seen
-  in
-  let holders = Hashtbl.create 16 in
-  List.iter
-    (fun (v, c) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt holders c) in
-      Hashtbl.replace holders c (v :: prev))
-    goal.precondition;
-  List.filter
-    (fun (d, c) ->
-      match Hashtbl.find_opt holders c with
-      | None -> true
-      | Some hs -> not (List.exists (fun h -> (reachable_from h).(d)) hs))
-    goal.postcondition
-
 let stuck_on_unreachable unreachable =
   let total = List.length unreachable in
   let shown = List.filteri (fun i _ -> i < 6) unreachable in
@@ -159,54 +123,65 @@ let stuck_on_unreachable unreachable =
           (if total = 1 then "" else "s")
           pairs suffix))
 
-let check_feasible topo goal =
-  if not (Topology.is_strongly_connected topo) then begin
-    match unreachable_postconditions topo goal with
+(* The dead links as a mask over the [m] healthy link ids. *)
+let dead_mask_of m dead =
+  let mask = Array.make m false in
+  List.iter
+    (fun e ->
+      if e < 0 || e >= m then invalid_arg "Synthesizer: dead link out of range";
+      mask.(e) <- true)
+    dead;
+  mask
+
+(* Fail fast on broken fabrics: a postcondition (d, c) is satisfiable iff
+   some initial holder of c can reach d over live links. Reachability walks
+   the expansion's adjacency minus the links set in [dead_mask], so a
+   renumbered degraded topology copy never needs to exist. An empty mask
+   means no dead links; then strong connectivity implies every
+   postcondition is reachable, so the O(n·(n+m)) scan only runs after the
+   cheap connectivity test fails — the healthy-fabric path pays one DFS
+   pair per trial. *)
+let check_feasible topo exp ~dead_mask goal =
+  let masked = Array.length dead_mask > 0 in
+  if masked || not (Topology.is_strongly_connected topo) then begin
+    let n = Ten.Expansion.num_npus exp in
+    let out_links = Ten.Expansion.out_links exp in
+    let dst = Ten.Expansion.dst exp in
+    let reach_cache = Hashtbl.create 8 in
+    let reachable_from s =
+      match Hashtbl.find_opt reach_cache s with
+      | Some seen -> seen
+      | None ->
+        let seen = Array.make n false in
+        let rec visit v =
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            Array.iter
+              (fun e -> if not (masked && dead_mask.(e)) then visit dst.(e))
+              out_links.(v)
+          end
+        in
+        visit s;
+        Hashtbl.add reach_cache s seen;
+        seen
+    in
+    let holders = Hashtbl.create 16 in
+    List.iter
+      (fun (v, c) ->
+        let prev = Option.value ~default:[] (Hashtbl.find_opt holders c) in
+        Hashtbl.replace holders c (v :: prev))
+      goal.precondition;
+    match
+      List.filter
+        (fun (d, c) ->
+          match Hashtbl.find_opt holders c with
+          | None -> true
+          | Some hs -> not (List.exists (fun h -> (reachable_from h).(d)) hs))
+        goal.postcondition
+    with
     | [] -> () (* e.g. Broadcast whose root reaches everyone *)
     | unreachable -> stuck_on_unreachable unreachable
   end
-
-(* Feasibility on a masked fabric: the expansion's healthy link ids with the
-   [dead] subset removed. Reachability runs over the adjacency arrays, so a
-   renumbered degraded topology copy never needs to exist. *)
-let check_feasible_masked exp ~dead_mask goal =
-  let n = Ten.Expansion.num_npus exp in
-  let out_links = Ten.Expansion.out_links exp in
-  let dst = Ten.Expansion.dst exp in
-  let reach_cache = Hashtbl.create 8 in
-  let reachable_from s =
-    match Hashtbl.find_opt reach_cache s with
-    | Some seen -> seen
-    | None ->
-      let seen = Array.make n false in
-      let rec visit v =
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Array.iter
-            (fun e -> if not dead_mask.(e) then visit dst.(e))
-            out_links.(v)
-        end
-      in
-      visit s;
-      Hashtbl.add reach_cache s seen;
-      seen
-  in
-  let holders = Hashtbl.create 16 in
-  List.iter
-    (fun (v, c) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt holders c) in
-      Hashtbl.replace holders c (v :: prev))
-    goal.precondition;
-  match
-    List.filter
-      (fun (d, c) ->
-        match Hashtbl.find_opt holders c with
-        | None -> true
-        | Some hs -> not (List.exists (fun h -> (reachable_from h).(d)) hs))
-      goal.postcondition
-  with
-  | [] -> ()
-  | unreachable -> stuck_on_unreachable unreachable
 
 (* One synthesis trial of a pull-based (non-combining) pattern: All-Gather or
    Broadcast. This is Alg. 2 with Alg. 1 run at every event time.
@@ -297,16 +272,8 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
     (not has_pins)
     || match pins.(c) with None -> true | Some route -> Iset.mem e route
   in
-  (match dead with
-  | [] -> check_feasible topo goal
-  | _ ->
-    let dead_mask = Array.make m false in
-    List.iter
-      (fun e ->
-        if e < 0 || e >= m then invalid_arg "Synthesizer: dead link out of range";
-        dead_mask.(e) <- true)
-      dead;
-    check_feasible_masked exp ~dead_mask goal);
+  let dead_mask = if dead = [] then [||] else dead_mask_of m dead in
+  check_feasible topo exp ~dead_mask goal;
   (* Chunk placement state. *)
   let arrival = Array.make_matrix n num_chunks infinity in
   let holds = Array.init n (fun _ -> Ivec.create ()) in
@@ -768,13 +735,7 @@ let synthesize_goal_plan ?(seed = 42) ?(trials = 1) ?(domains = 1)
   let exp =
     match reuse with Some e -> e | None -> Ten.Expansion.prepare topo
   in
-  let m = Ten.Expansion.num_links exp in
-  let dead_mask = Array.make m false in
-  List.iter
-    (fun e ->
-      if e < 0 || e >= m then invalid_arg "Synthesizer: dead link out of range";
-      dead_mask.(e) <- true)
-    dead;
+  let dead_mask = dead_mask_of (Ten.Expansion.num_links exp) dead in
   let state = reduction_state_of_goal goal in
   (* Deterministic (RNG-free) combine structure, computed once: per chunk
      with >= 2 live partials, a destination and the relay closure of nodes

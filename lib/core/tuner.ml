@@ -33,11 +33,13 @@ let sweep ?(seed = 42) ?(domains = 1) ?(candidates = [ 1; 2; 4; 8; 16 ])
       { chunks_per_npu; result; simulated_time = simulated_time topo result })
     candidates
 
-let tune ?seed ?domains ?candidates ?synthesize topo ~pattern ~size =
-  match sweep ?seed ?domains ?candidates ?synthesize topo ~pattern ~size with
+let best = function
   | [] -> invalid_arg "Tuner.tune: no candidates"
   | first :: rest ->
     (* Strict [<] keeps ties on the earliest candidate, as before. *)
     List.fold_left
       (fun best c -> if c.simulated_time < best.simulated_time then c else best)
       first rest
+
+let tune ?seed ?domains ?candidates ?synthesize topo ~pattern ~size =
+  best (sweep ?seed ?domains ?candidates ?synthesize topo ~pattern ~size)

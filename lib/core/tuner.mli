@@ -51,6 +51,11 @@ val tune :
     ([Tacos_groups.Plan]) plugs in here; the default is
     {!Router.dispatch}. *)
 
+val best : choice list -> choice
+(** The fastest choice by simulated time; ties go to the earliest in the
+    list. This is {!tune}'s pick over {!sweep}'s choices. Raises
+    [Invalid_argument] on an empty list. *)
+
 val simulated_time : Topology.t -> Synthesizer.result -> float
 (** Replay a synthesis result under the simulator backend (the paper's
     measurement model). *)

@@ -276,6 +276,64 @@ let schedule_fields t (req : Protocol.request) topo (result : Synth.result) =
     fields
   | _ -> []
 
+(* --- request resolution ---------------------------------------------------- *)
+
+type resolved = {
+  healthy : Topology.t;
+  work_topo : Topology.t;
+  faults : Fault.t list;
+  pattern : Pattern.t;
+  spec : Spec.t;
+  deadline : Deadline.t option;
+  seed : int;
+  sketch : (Sketch.t * Synth.constraints) option;
+}
+
+(* The deadline a collective request runs under; the access log reports
+   the same value. *)
+let deadline_ms config (req : Protocol.request) =
+  match req.Protocol.deadline_ms with
+  | Some _ as d -> d
+  | None -> config.default_deadline_ms
+
+let resolve ?alpha ?bw config (req : Protocol.request) =
+  let ( let* ) = Result.bind in
+  let prefixed what = Result.map_error (fun e -> what ^ ": " ^ e) in
+  let* desc = Option.to_result ~none:"missing topology" req.Protocol.topology in
+  let* healthy = prefixed "topology" (Parse.parse_topology ?alpha ?bw desc) in
+  let npus = Topology.num_npus healthy in
+  let* pattern = prefixed "pattern" (Parse.parse_pattern req.Protocol.pattern npus) in
+  let* spec =
+    match
+      Spec.make ~chunks_per_npu:req.Protocol.chunks ~buffer_size:req.Protocol.size
+        ~pattern ~npus ()
+    with
+    | spec -> Ok spec
+    | exception Invalid_argument msg -> Error msg
+  in
+  let faults = List.map (fun l -> Fault.Kill_link l) req.Protocol.fail_links in
+  let* () = prefixed "fail_links" (Fault.validate healthy faults) in
+  (* The registry keys on the fabric actually served — the degraded copy
+     when links were killed — while the Resilience fallback gets the
+     healthy topology + fault set so failures can name the disconnecting
+     fault. *)
+  let work_topo = if faults = [] then healthy else Fault.apply healthy faults in
+  let deadline = Option.map Deadline.after_ms (deadline_ms config req) in
+  let seed = Option.value ~default:config.seed req.Protocol.seed in
+  (* Validate the sketch against the fabric actually served, before any
+     cache or synthesis work: infeasibility is a typed answer, not a late
+     Stuck. A tune sweep compiles it per candidate instead, since pin
+     chunk ids depend on each candidate's chunk count. *)
+  let* sketch =
+    match (req.Protocol.op, req.Protocol.sketch) with
+    | Protocol.Tune, _ | _, None -> Ok None
+    | _, Some sk -> (
+      match Sketch.check work_topo spec sk with
+      | Ok c -> Ok (Some (sk, c))
+      | Error off -> Error ("sketch infeasible: " ^ Sketch.offender_to_string off))
+  in
+  Ok { healthy; work_topo; faults; pattern; spec; deadline; seed; sketch }
+
 (* --- the collective ops -------------------------------------------------- *)
 
 let ok_fields ~t0 ~cached ~degraded ~algorithm ~collective_time ~sends extra =
@@ -296,17 +354,18 @@ let ok_fields ~t0 ~cached ~degraded ~algorithm ~collective_time ~sends extra =
    passed, so this path is bounded work — and the response is tagged
    [degraded:true]. Degraded results are deliberately not cached: a later
    request with headroom should synthesize the real schedule. *)
-let degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec ~deadline_missed =
+let degrade t ~id ~t0 r ~deadline_missed =
   if deadline_missed then
     bump t c_deadline_missed (fun t -> t.deadline_missed <- t.deadline_missed + 1);
   match
-    Resilience.synthesize ~seed ~trials:t.config.trials ~domains:t.config.domains
-      ?deadline ~faults healthy spec
+    Resilience.synthesize ~seed:r.seed ~trials:t.config.trials
+      ~domains:t.config.domains ?deadline:r.deadline ~faults:r.faults r.healthy
+      r.spec
   with
   | Ok { Resilience.plan = Resilience.Baseline { algo; report }; _ } ->
     bump t c_degraded (fun t -> t.degraded <- t.degraded + 1);
     let slack =
-      match deadline with
+      match r.deadline with
       | Some d -> [ ("deadline_slack_ms", Json.Number (Deadline.slack_ms d)) ]
       | None -> []
     in
@@ -325,8 +384,25 @@ let degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec ~deadline_missed =
       ~failure:(Resilience.failure_to_json failure)
       (Format.asprintf "%a" Resilience.pp_failure failure)
 
-let handle_synthesize t (req : Protocol.request) ~t0 ~healthy ~work_topo ~faults
-    ~deadline ~seed ~spec ~sketch =
+(* Answer a collective request, degrading when its synthesis runs out of
+   time, gets stuck or meets an unsupported pattern. The single-flight key
+   was released on the raise, so a retry on a healthier fabric is clean. *)
+let answer_or_degrade t ~id ~t0 r answer =
+  match answer () with
+  | response -> response
+  | exception Synth.Deadline_exceeded ->
+    degrade t ~id ~t0 r ~deadline_missed:true
+  | exception (Synth.Stuck _ | Synth.Unsupported _) ->
+    degrade t ~id ~t0 r ~deadline_missed:false
+
+(* The miss backend, timed into the synthesis-stage sketch. *)
+let synthesize_timed t r ~sketch ~seed ~domains topo spec =
+  let s = Clock.start () in
+  Fun.protect
+    ~finally:(fun () -> record_ms t t.q_synthesis (elapsed_ms s))
+    (fun () -> t.backend ~deadline:r.deadline ~sketch ~seed ~domains topo spec)
+
+let handle_synthesize t (req : Protocol.request) ~t0 r =
   let id = req.Protocol.id in
   let answer ~cached (result : Synth.result) =
     if cached then bump t c_hits (fun t -> t.hits <- t.hits + 1)
@@ -335,41 +411,27 @@ let handle_synthesize t (req : Protocol.request) ~t0 ~healthy ~work_topo ~faults
       (ok_fields ~t0 ~cached ~degraded:false ~algorithm:"tacos"
          ~collective_time:result.Synth.collective_time
          ~sends:(Schedule.num_sends result.Synth.schedule)
-         (schedule_fields t req work_topo result))
+         (schedule_fields t req r.work_topo result))
   in
   (* Sketched requests get their own cache line: the sketch digest becomes
      the registry key variant, so constrained and unconstrained schedules
      for the same (topology, spec) never alias. *)
-  let variant = Option.map (fun (sk, _) -> Sketch.digest sk) sketch in
-  let constraints = Option.map snd sketch in
-  (* Cache peek first: hits are served even past the deadline — answering
-     from memory is cheaper than degrading. *)
-  match Registry.find_cached ?variant t.registry work_topo spec with
-  | Some result -> answer ~cached:true result
-  | None -> (
-    let synthesize ~seed ~domains topo spec =
-      let s = Clock.start () in
-      Fun.protect
-        ~finally:(fun () -> record_ms t t.q_synthesis (elapsed_ms s))
-        (fun () -> t.backend ~deadline ~sketch:constraints ~seed ~domains topo spec)
-    in
-    match
-      Registry.find_or_synthesize ~seed ~domains:t.config.domains ~synthesize
-        ?variant t.registry work_topo spec
-    with
-    | result, `Hit -> answer ~cached:true result
-    | result, `Miss -> answer ~cached:false result
-    | exception Synth.Deadline_exceeded ->
-      degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec
-        ~deadline_missed:true
-    | exception (Synth.Stuck _ | Synth.Unsupported _) ->
-      (* The single-flight key was released on the raise, so a retry on a
-         healthier fabric is clean; meanwhile fall back structurally. *)
-      degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec
-        ~deadline_missed:false)
+  let variant = Option.map (fun (sk, _) -> Sketch.digest sk) r.sketch in
+  let sketch = Option.map snd r.sketch in
+  answer_or_degrade t ~id ~t0 r (fun () ->
+      (* Cache peek first: hits are served even past the deadline —
+         answering from memory is cheaper than degrading. *)
+      match Registry.find_cached ?variant t.registry r.work_topo r.spec with
+      | Some result -> answer ~cached:true result
+      | None ->
+        let result, outcome =
+          Registry.find_or_synthesize ~seed:r.seed ~domains:t.config.domains
+            ~synthesize:(synthesize_timed t r ~sketch) ?variant t.registry
+            r.work_topo r.spec
+        in
+        answer ~cached:(outcome = `Hit) result)
 
-let handle_tune t (req : Protocol.request) ~t0 ~healthy ~work_topo ~faults
-    ~deadline ~seed ~spec ~pattern =
+let handle_tune t (req : Protocol.request) ~t0 r =
   let id = req.Protocol.id in
   let synthesize ~seed topo spec =
     (* Compiled per candidate: pin chunk ids are validated against each
@@ -377,97 +439,35 @@ let handle_tune t (req : Protocol.request) ~t0 ~healthy ~work_topo ~faults
     let sketch =
       Option.map (fun sk -> Sketch.compile topo spec sk) req.Protocol.sketch
     in
-    let s = Clock.start () in
-    Fun.protect
-      ~finally:(fun () -> record_ms t t.q_synthesis (elapsed_ms s))
-      (fun () ->
-        t.backend ~deadline ~sketch ~seed ~domains:t.config.domains topo spec)
+    synthesize_timed t r ~sketch ~seed ~domains:t.config.domains topo spec
   in
-  match
-    Tuner.tune ~seed ?candidates:req.Protocol.candidates ~synthesize work_topo
-      ~pattern ~size:req.Protocol.size
-  with
-  | choice ->
-    bump t c_misses (fun t -> t.misses <- t.misses + 1);
-    respond ~id ~status:"ok"
-      (ok_fields ~t0 ~cached:false ~degraded:false ~algorithm:"tacos"
-         ~collective_time:choice.Tuner.simulated_time
-         ~sends:(Schedule.num_sends choice.Tuner.result.Synth.schedule)
-         [
-           ( "chunks_per_npu",
-             Json.Number (float_of_int choice.Tuner.chunks_per_npu) );
-         ])
-  | exception Synth.Deadline_exceeded ->
-    degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec
-      ~deadline_missed:true
-  | exception (Synth.Stuck _ | Synth.Unsupported _) ->
-    degrade t ~id ~t0 ~healthy ~faults ~deadline ~seed ~spec
-      ~deadline_missed:false
-  | exception Sketch.Infeasible off ->
-    error_response t ~id ("sketch: " ^ Sketch.offender_to_string off)
-  | exception Invalid_argument msg -> error_response t ~id ("tune: " ^ msg)
+  answer_or_degrade t ~id ~t0 r (fun () ->
+      match
+        Tuner.tune ~seed:r.seed ?candidates:req.Protocol.candidates ~synthesize
+          r.work_topo ~pattern:r.pattern ~size:req.Protocol.size
+      with
+      | choice ->
+        bump t c_misses (fun t -> t.misses <- t.misses + 1);
+        respond ~id ~status:"ok"
+          (ok_fields ~t0 ~cached:false ~degraded:false ~algorithm:"tacos"
+             ~collective_time:choice.Tuner.simulated_time
+             ~sends:(Schedule.num_sends choice.Tuner.result.Synth.schedule)
+             [
+               ( "chunks_per_npu",
+                 Json.Number (float_of_int choice.Tuner.chunks_per_npu) );
+             ])
+      | exception Sketch.Infeasible off ->
+        error_response t ~id
+          ("sketch infeasible: " ^ Sketch.offender_to_string off)
+      | exception Invalid_argument msg -> error_response t ~id ("tune: " ^ msg))
 
 let handle_collective t (req : Protocol.request) ~t0 =
-  let id = req.Protocol.id in
-  match req.Protocol.topology with
-  | None -> error_response t ~id "missing topology"
-  | Some desc -> (
-    match Parse.parse_topology desc with
-    | Error e -> error_response t ~id ("topology: " ^ e)
-    | Ok healthy -> (
-      let npus = Topology.num_npus healthy in
-      match Parse.parse_pattern req.Protocol.pattern npus with
-      | Error e -> error_response t ~id ("pattern: " ^ e)
-      | Ok pattern -> (
-        match
-          Spec.make ~chunks_per_npu:req.Protocol.chunks
-            ~buffer_size:req.Protocol.size ~pattern ~npus ()
-        with
-        | exception Invalid_argument msg -> error_response t ~id msg
-        | spec -> (
-          let faults =
-            List.map (fun l -> Fault.Kill_link l) req.Protocol.fail_links
-          in
-          match Fault.validate healthy faults with
-          | Error e -> error_response t ~id ("fail_links: " ^ e)
-          | Ok () -> (
-            (* The registry keys on the fabric actually served — the
-               degraded copy when links were killed — while the Resilience
-               fallback gets the healthy topology + fault set so failures
-               can name the disconnecting fault. *)
-            let work_topo =
-              if faults = [] then healthy else Fault.apply healthy faults
-            in
-            let deadline_ms =
-              match req.Protocol.deadline_ms with
-              | Some _ as d -> d
-              | None -> t.config.default_deadline_ms
-            in
-            let deadline = Option.map Deadline.after_ms deadline_ms in
-            let seed = Option.value ~default:t.config.seed req.Protocol.seed in
-            match req.Protocol.op with
-            | Protocol.Tune ->
-              handle_tune t req ~t0 ~healthy ~work_topo ~faults ~deadline ~seed
-                ~spec ~pattern
-            | _ -> (
-              (* Validate the sketch against the fabric actually served,
-                 before any cache or synthesis work: infeasibility is a
-                 typed, structured answer, not a late Stuck. *)
-              let sketched =
-                match req.Protocol.sketch with
-                | None -> Ok None
-                | Some sk -> (
-                  match Sketch.check work_topo spec sk with
-                  | Ok c -> Ok (Some (sk, c))
-                  | Error off -> Error off)
-              in
-              match sketched with
-              | Error off ->
-                error_response t ~id
-                  ("sketch: " ^ Sketch.offender_to_string off)
-              | Ok sketch ->
-                handle_synthesize t req ~t0 ~healthy ~work_topo ~faults
-                  ~deadline ~seed ~spec ~sketch))))))
+  match resolve t.config req with
+  | Error msg -> error_response t ~id:req.Protocol.id msg
+  | Ok r -> (
+    match req.Protocol.op with
+    | Protocol.Tune -> handle_tune t req ~t0 r
+    | _ -> handle_synthesize t req ~t0 r)
 
 (* --- telemetry rendering -------------------------------------------------- *)
 
@@ -732,10 +732,8 @@ let handle_line t line =
     | Ok req ->
       let deadline_ms =
         match req.Protocol.op with
-        | Protocol.Synthesize | Protocol.Tune | Protocol.Export -> (
-          match req.Protocol.deadline_ms with
-          | Some _ as d -> d
-          | None -> t.config.default_deadline_ms)
+        | Protocol.Synthesize | Protocol.Tune | Protocol.Export ->
+          deadline_ms t.config req
         | _ -> None
       in
       (verb_name req.Protocol.op, req.Protocol.id, Some req.Protocol.op, deadline_ms)

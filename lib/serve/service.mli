@@ -1,8 +1,11 @@
 module Deadline := Tacos_util.Deadline
 module Topology := Tacos_topology.Topology
 module Spec := Tacos_collective.Spec
+module Pattern := Tacos_collective.Pattern
 module Synth := Tacos.Synthesizer
 module Registry := Tacos.Registry
+module Fault := Tacos_resilience.Fault
+module Sketch := Tacos_sketch.Sketch
 
 (** The synthesis service: a persistent, deadline-aware front end over the
     schedule {!Tacos.Registry}.
@@ -85,6 +88,43 @@ type backend =
     {!Tacos.Synthesizer.Deadline_exceeded}; sketched routed requests are
     rejected upstream at sketch compilation). Tests and benches inject
     stubs — a backend that blocks, fails once, or sleeps. *)
+
+(** {1 Request resolution} *)
+
+type resolved = {
+  healthy : Topology.t;  (** the fabric the request names *)
+  work_topo : Topology.t;
+      (** the fabric served: [healthy] minus the request's [fail_links] *)
+  faults : Fault.t list;  (** the request's [fail_links] as link kills *)
+  pattern : Pattern.t;
+  spec : Spec.t;
+  deadline : Deadline.t option;
+      (** started at resolution: the request's [deadline_ms], else
+          [config.default_deadline_ms]; [None] = unbounded *)
+  seed : int;  (** the request's seed, else [config.seed] *)
+  sketch : (Sketch.t * Synth.constraints) option;
+      (** the request's sketch, checked and compiled against [work_topo]
+          and [spec]. Always [None] for [Tune] requests: a sweep compiles
+          the request's sketch per candidate granularity. *)
+}
+(** A collective request turned into the work to do. *)
+
+val resolve :
+  ?alpha:float ->
+  ?bw:float ->
+  config ->
+  Protocol.request ->
+  (resolved, string) result
+(** The one validator of collective requests, shared by [serve] and the
+    CLI. Steps, in order, each with its error text: topology
+    (["missing topology"], ["topology: <reason>"]), pattern
+    (["pattern: <reason>"]), spec (the {!Tacos_collective.Spec.make}
+    message), [fail_links] (["fail_links: <reason>"]), then deadline and
+    seed, then the sketch (["sketch infeasible: <offender>"]). [alpha]
+    and [bw] set the link parameters as in
+    {!Tacos_collective.Parse.parse_topology}; [serve] passes neither. *)
+
+(** {1 The service} *)
 
 type t
 
