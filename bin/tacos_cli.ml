@@ -170,10 +170,12 @@ let request_term ?(op = Protocol.Synthesize) ?(pattern = pattern_arg)
       (const resolve $ topology_arg $ alpha_arg $ bw_arg $ size_arg $ pattern
      $ chunks $ seed_arg $ sketch))
 
-(* Run a command body, reporting the synthesizer's typed failures as the
-   command's error instead of an uncaught exception. *)
+(* Run a command body, reporting the synthesizer's typed failures and a file
+   the system cannot open ("<path>: <reason>") as the command's error
+   instead of an uncaught exception. *)
 let reporting_failures f =
   try f () with
+  | Sys_error msg -> fail "%s" msg
   | Synth.Stuck msg -> fail "synthesis stuck: %s" msg
   | Synth.Unsupported msg -> fail "unsupported: %s" msg
   | Sketch.Infeasible off ->
@@ -1080,6 +1082,7 @@ let trace_cmd =
   let run (_, (r : Service.resolved)) trials out top validate_file =
     match validate_file with
     | Some file -> (
+      reporting_failures @@ fun () ->
       let text = In_channel.with_open_bin file In_channel.input_all in
       match Json.parse text with
       | Error e -> fail "%s: not JSON: %s" file e
@@ -1337,7 +1340,8 @@ let serve_cmd =
     else if metrics_interval <= 0. then fail "--metrics-interval must be positive"
     else if max_disk_mb <> None && registry_dir = None then
       fail "--max-disk-mb needs --registry DIR (nothing on disk to cap)"
-    else begin
+    else
+      reporting_failures @@ fun () ->
       (* The daemon keeps observability on: serve.* counters feed the
          stats op, the metrics exposition, and any profile taken against a
          long-running server. *)
@@ -1449,7 +1453,6 @@ let serve_cmd =
           in
           (* If accept ever fails hard, still leave a clean filesystem. *)
           Fun.protect ~finally:cleanup accept_loop)
-    end
   in
   let term =
     Term.(
@@ -1574,6 +1577,7 @@ let top_cmd =
   let run socket interval iterations validate =
     match validate with
     | Some file -> (
+      reporting_failures @@ fun () ->
       let text = In_channel.with_open_bin file In_channel.input_all in
       match Tacos_obs.Expo.validate text with
       | Ok () ->

@@ -7,7 +7,7 @@ let time_of = function Send { start; _ } | Recv { start; _ } -> start
 let npu_programs ~npus (sched : Schedule.t) =
   if npus <= 0 then invalid_arg "Lowering.npu_programs: npus must be positive";
   let programs = Array.make npus [] in
-  List.iter
+  Schedule.iter
     (fun (s : Schedule.send) ->
       if s.src >= npus || s.dst >= npus then
         invalid_arg "Lowering.npu_programs: send endpoint out of range";
@@ -17,7 +17,7 @@ let npu_programs ~npus (sched : Schedule.t) =
       programs.(s.dst) <-
         Recv { chunk = s.chunk; peer = s.src; link = s.edge; start = s.start; finish = s.finish }
         :: programs.(s.dst))
-    sched.Schedule.sends;
+    sched;
   Array.map
     (fun ops -> List.stable_sort (fun a b -> compare (time_of a) (time_of b)) ops)
     programs

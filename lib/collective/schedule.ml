@@ -10,61 +10,304 @@ type send = {
   finish : float;
 }
 
-type t = { sends : send list; makespan : float }
+type columns = {
+  chunks : int array;
+  edges : int array;
+  srcs : int array;
+  dsts : int array;
+  starts : float array;
+  finishes : float array;
+}
+
+type t = { sends : columns; makespan : float }
+type schedule = t
 
 (* Relative tolerance for floating-point time comparisons. *)
 let eps_for makespan = 1e-9 +. (1e-9 *. Float.abs makespan)
 
-let make sends =
-  List.iter
-    (fun s ->
-      if s.start < 0. || s.finish < s.start then
-        invalid_arg "Schedule.make: bad send interval")
-    sends;
-  let sends =
-    List.stable_sort
-      (fun a b ->
-        let c = Float.compare a.start b.start in
-        if c <> 0 then c else Float.compare a.finish b.finish)
-      sends
-  in
-  let makespan = List.fold_left (fun acc s -> Float.max acc s.finish) 0. sends in
-  { sends; makespan }
+let empty =
+  {
+    sends =
+      { chunks = [||]; edges = [||]; srcs = [||]; dsts = [||]; starts = [||]; finishes = [||] };
+    makespan = 0.;
+  }
+let num_sends t = Array.length t.sends.starts
 
-let empty = { sends = []; makespan = 0. }
-let num_sends t = List.length t.sends
+(* Float columns are filled by loops, not by [Array.map]/[Array.init]: a
+   closure that returns a float boxes every element. *)
+let offset_col (a : float array) dt =
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set r i (Array.unsafe_get a i +. dt)
+  done;
+  r
 
-let shift t dt =
-  make
-    (List.map (fun s -> { s with start = s.start +. dt; finish = s.finish +. dt }) t.sends)
+let mirror_col m (a : float array) =
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set r i (m -. Array.unsafe_get a i)
+  done;
+  r
 
-let reverse t =
-  let m = t.makespan in
-  make
-    (List.map
-       (fun s ->
-         {
-           s with
-           src = s.dst;
-           dst = s.src;
-           start = m -. s.finish;
-           finish = m -. s.start;
-         })
-       t.sends)
+(* --- the one sort -------------------------------------------------------- *)
 
-let concat a b =
-  let b = shift b a.makespan in
-  make (a.sends @ b.sends)
+(* Row [i] sorts strictly after row [j]. *)
+let after (starts : float array) (finishes : float array) i j =
+  let si = Array.unsafe_get starts i and sj = Array.unsafe_get starts j in
+  si > sj || (si = sj && Array.unsafe_get finishes i > Array.unsafe_get finishes j)
+[@@inline]
 
-let union a b =
-  let cmp x y =
-    let c = Float.compare x.start y.start in
-    if c <> 0 then c else Float.compare x.finish y.finish
+(* Stable merge of the sorted index runs [s.(lo..mid)] and [s.(mid..hi)]
+   into [d.(lo..hi)]; the left run wins ties. *)
+let merge_runs (starts : float array) (finishes : float array) s d lo mid hi =
+  if not (after starts finishes s.(mid - 1) s.(mid)) then Array.blit s lo d lo (hi - lo)
+  else begin
+    let i = ref lo and j = ref mid and k = ref lo in
+    while !i < mid && !j < hi do
+      let x = Array.unsafe_get s !i and y = Array.unsafe_get s !j in
+      if after starts finishes x y then begin
+        Array.unsafe_set d !k y;
+        incr j
+      end
+      else begin
+        Array.unsafe_set d !k x;
+        incr i
+      end;
+      incr k
+    done;
+    Array.blit s !i d !k (mid - !i);
+    Array.blit s !j d (!k + (mid - !i)) (hi - !j)
+  end
+
+(* The permutation that stably sorts rows by (start, finish), or [None]
+   when they are already in order. A natural merge sort: the rows split
+   into maximal runs already in order (a strictly descending run is
+   reversed, which keeps it stable), and neighbouring runs merge pairwise
+   until one is left; two runs already in order across their boundary are
+   joined without comparing. Sorted rows cost one pass, and [k] sorted parts
+   laid end to end cost O(n log k) — the stable k-way merge of the parts,
+   ties going to the earlier part. *)
+let sorted_perm (starts : float array) (finishes : float array) =
+  let n = Array.length starts in
+  let gt i j = after starts finishes i j [@@inline] in
+  let i = ref 1 in
+  while !i < n && not (gt (!i - 1) !i) do
+    incr i
+  done;
+  if !i >= n then None
+  else begin
+    let perm = Array.init n Fun.id in
+    let runs = ref [] in
+    let i = ref 0 in
+    while !i < n do
+      let lo = !i in
+      let j = ref (lo + 1) in
+      if !j < n && gt lo !j then begin
+        while !j < n && gt (!j - 1) !j do
+          incr j
+        done;
+        let a = ref lo and b = ref (!j - 1) in
+        while !a < !b do
+          let x = perm.(!a) in
+          perm.(!a) <- perm.(!b);
+          perm.(!b) <- x;
+          incr a;
+          decr b
+        done
+      end
+      else
+        while !j < n && not (gt (!j - 1) !j) do
+          incr j
+        done;
+      runs := lo :: !runs;
+      i := !j
+    done;
+    let bounds = ref (Array.of_list (List.rev (n :: !runs))) in
+    let src = ref perm and dst = ref (Array.make n 0) in
+    while Array.length !bounds > 2 do
+      let b = !bounds and s = !src and d = !dst in
+      let nruns = Array.length b - 1 in
+      for p = 0 to (nruns / 2) - 1 do
+        merge_runs starts finishes s d b.(2 * p) b.((2 * p) + 1) b.((2 * p) + 2)
+      done;
+      if nruns mod 2 = 1 then begin
+        let lo = b.(nruns - 1) in
+        Array.blit s lo d lo (n - lo)
+      end;
+      bounds := Array.init (((nruns + 1) / 2) + 1) (fun q -> b.(min (2 * q) nruns));
+      src := d;
+      dst := s
+    done;
+    Some !src
+  end
+
+let gather perm c =
+  let n = Array.length perm in
+  let ints (a : int array) = Array.map (fun k -> Array.unsafe_get a k) perm in
+  let floats (a : float array) =
+    let r = Array.create_float n in
+    for k = 0 to n - 1 do
+      Array.unsafe_set r k (Array.unsafe_get a (Array.unsafe_get perm k))
+    done;
+    r
   in
   {
-    sends = List.merge cmp a.sends b.sends;
-    makespan = Float.max a.makespan b.makespan;
+    chunks = ints c.chunks;
+    edges = ints c.edges;
+    srcs = ints c.srcs;
+    dsts = ints c.dsts;
+    starts = floats c.starts;
+    finishes = floats c.finishes;
   }
+
+let sorted c = match sorted_perm c.starts c.finishes with None -> c | Some p -> gather p c
+
+let make c =
+  let n = Array.length c.starts in
+  if
+    Array.length c.finishes <> n
+    || Array.length c.chunks <> n
+    || Array.length c.edges <> n
+    || Array.length c.srcs <> n
+    || Array.length c.dsts <> n
+  then invalid_arg "Schedule.make: columns of unequal length";
+  let makespan = ref 0. in
+  for i = 0 to n - 1 do
+    let s = c.starts.(i) and f = c.finishes.(i) in
+    (* Also rejects NaN and infinite times: every comparison with NaN is
+       false, and an infinite start forces an infinite finish. *)
+    if not (s >= 0. && f >= s && f < infinity) then
+      invalid_arg "Schedule.make: bad send interval";
+    if f > !makespan then makespan := f
+  done;
+  { sends = sorted c; makespan = !makespan }
+
+let of_sends sends =
+  let a = Array.of_list sends in
+  make
+    {
+      chunks = Array.map (fun s -> s.chunk) a;
+      edges = Array.map (fun s -> s.edge) a;
+      srcs = Array.map (fun s -> s.src) a;
+      dsts = Array.map (fun s -> s.dst) a;
+      starts = Array.map (fun s -> s.start) a;
+      finishes = Array.map (fun s -> s.finish) a;
+    }
+
+module Builder = struct
+  type t = { mutable n : int; mutable rows : columns }
+
+  let create () =
+    let cap = 64 in
+    let ints () = Array.make cap 0 and floats () = Array.create_float cap in
+    {
+      n = 0;
+      rows =
+        {
+          chunks = ints ();
+          edges = ints ();
+          srcs = ints ();
+          dsts = ints ();
+          starts = floats ();
+          finishes = floats ();
+        };
+    }
+
+  (* Double the capacity of a full store. *)
+  let grow b =
+    let r = b.rows and n = b.n in
+    let ints a = Array.append a (Array.make n 0) in
+    let floats (a : float array) = Array.append a (Array.create_float n) in
+    b.rows <-
+      {
+        chunks = ints r.chunks;
+        edges = ints r.edges;
+        srcs = ints r.srcs;
+        dsts = ints r.dsts;
+        starts = floats r.starts;
+        finishes = floats r.finishes;
+      }
+
+  let push b ~chunk ~edge ~src ~dst ~start ~finish =
+    if b.n = Array.length b.rows.starts then grow b;
+    let r = b.rows and i = b.n in
+    r.chunks.(i) <- chunk;
+    r.edges.(i) <- edge;
+    r.srcs.(i) <- src;
+    r.dsts.(i) <- dst;
+    r.starts.(i) <- start;
+    r.finishes.(i) <- finish;
+    b.n <- i + 1
+
+  (* Rows are laid out last push first, so the stable sort leaves ties in
+     reverse push order. *)
+  let build b =
+    let n = b.n in
+    make (gather (Array.init n (fun k -> n - 1 - k)) b.rows)
+end
+
+(* --- rows ---------------------------------------------------------------- *)
+
+let get t i =
+  let c = t.sends in
+  {
+    chunk = c.chunks.(i);
+    edge = c.edges.(i);
+    src = c.srcs.(i);
+    dst = c.dsts.(i);
+    start = c.starts.(i);
+    finish = c.finishes.(i);
+  }
+
+let iter f t =
+  for i = 0 to num_sends t - 1 do
+    f (get t i)
+  done
+
+let to_list t = List.init (num_sends t) (get t)
+
+let filter p t =
+  let keep = Array.of_list (List.filter (fun i -> p (get t i)) (List.init (num_sends t) Fun.id)) in
+  make (gather keep t.sends)
+
+(* --- composition --------------------------------------------------------- *)
+
+let shift t dt =
+  let c = t.sends in
+  make { c with starts = offset_col c.starts dt; finishes = offset_col c.finishes dt }
+
+let reverse t =
+  let m = t.makespan and c = t.sends in
+  make
+    {
+      c with
+      srcs = c.dsts;
+      dsts = c.srcs;
+      starts = mirror_col m c.finishes;
+      finishes = mirror_col m c.starts;
+    }
+
+let merge parts =
+  let makespan = List.fold_left (fun acc p -> Float.max acc p.makespan) 0. parts in
+  match List.filter (fun p -> num_sends p > 0) parts with
+  | [] -> { empty with makespan }
+  | [ p ] -> { p with makespan }
+  | nonempty ->
+    let col f = Array.concat (List.map (fun p -> f p.sends) nonempty) in
+    let c =
+      {
+        chunks = col (fun c -> c.chunks);
+        edges = col (fun c -> c.edges);
+        srcs = col (fun c -> c.srcs);
+        dsts = col (fun c -> c.dsts);
+        starts = col (fun c -> c.starts);
+        finishes = col (fun c -> c.finishes);
+      }
+    in
+    { sends = sorted c; makespan }
+
+let union a b = merge [ a; b ]
+let concat a b = union a (shift b a.makespan)
 
 let phase_of_send ~reduce_scatter s =
   (* A send of the concatenated All-Reduce belongs to the All-Gather phase
@@ -75,79 +318,97 @@ let phase_of_send ~reduce_scatter s =
 
 (* --- validation ------------------------------------------------------- *)
 
+exception Bad of string
+
 (* [forbidden] lists (link id, dead-from time) pairs: any send that overlaps
    a link's dead interval is illegal. Mid-flight repair validates composite
    (kept prefix + patches) schedules on the *healthy* topology this way —
    kept sends legitimately rode the link before it died. *)
-let check_forbidden ~eps forbidden s =
-  List.find_map
+let check_forbidden ~eps forbidden ~chunk ~edge ~finish =
+  List.iter
     (fun (link, from) ->
-      if s.edge = link && s.finish > from +. eps then
-        Some
-          (Printf.sprintf "send of chunk %d rides link %d after it died at %g"
-             s.chunk link from)
-      else None)
+      if edge = link && finish > from +. eps then
+        raise
+          (Bad
+             (Printf.sprintf "send of chunk %d rides link %d after it died at %g" chunk
+                link from)))
     forbidden
 
-let validate_positioned topo ?(forbidden = []) ~precondition ~postcondition
-    ~num_chunks ~chunk_size t =
-  let eps = eps_for t.makespan in
+(* Per-link legality shared by both validators, for row [i] of [c] with its
+   times offset by [offset]: the chunk is known, the link exists and matches
+   the endpoints, the link is not dead, the duration covers the α-β cost,
+   and the link is free. [last_free] is indexed by link. *)
+let check_link topo ~eps ~forbidden ~num_chunks ~cost ~last_free c ~offset i =
+  let chunk = c.chunks.(i) and edge = c.edges.(i) in
+  let start = c.starts.(i) +. offset and finish = c.finishes.(i) +. offset in
+  if chunk < 0 || chunk >= num_chunks then
+    raise (Bad (Printf.sprintf "send of unknown chunk %d" chunk));
+  if edge < 0 || edge >= Array.length cost then
+    raise (Bad (Printf.sprintf "send over unknown link %d" edge));
+  let e = Topology.edge topo edge in
+  if e.Topology.src <> c.srcs.(i) || e.Topology.dst <> c.dsts.(i) then
+    raise
+      (Bad
+         (Printf.sprintf "send %d->%d does not match link %d (%d->%d)" c.srcs.(i)
+            c.dsts.(i) edge e.Topology.src e.Topology.dst));
+  if forbidden <> [] then check_forbidden ~eps forbidden ~chunk ~edge ~finish;
+  if finish -. start < cost.(edge) -. eps then
+    raise
+      (Bad
+         (Printf.sprintf "send of chunk %d on link %d shorter than its α-β cost" chunk
+            edge));
+  if start < last_free.(edge) -. eps then
+    raise (Bad (Printf.sprintf "link %d carries two chunks at once" edge));
+  last_free.(edge) <- finish
+
+let link_costs topo chunk_size =
+  Array.init (Topology.num_links topo) (fun e ->
+      Link.cost (Topology.edge topo e).Topology.link chunk_size)
+
+(* The non-combining validator over [t]'s rows with every time offset by
+   [offset] — the All-Gather half of an All-Reduce is checked in place,
+   without a shifted copy. *)
+let validate_at topo ~forbidden ~precondition ~postcondition ~num_chunks ~chunk_size
+    ~offset t =
+  let makespan = if num_sends t = 0 then 0. else Float.max 0. (t.makespan +. offset) in
+  let eps = eps_for makespan in
   let npus = Topology.num_npus topo in
-  let chunks = num_chunks in
-  let exception Bad of string in
+  let c = t.sends in
   try
-    (* arrival.(d).(c): earliest time chunk c is known to be at NPU d. *)
-    let arrival = Array.make_matrix npus chunks infinity in
-    List.iter (fun (d, c) -> arrival.(d).(c) <- 0.) precondition;
-    let last_free = Hashtbl.create 64 in
+    (* arrival.(d).(k): earliest time chunk k is known to be at NPU d. *)
+    let arrival = Array.make_matrix npus num_chunks infinity in
+    List.iter (fun (d, k) -> arrival.(d).(k) <- 0.) precondition;
+    let cost = link_costs topo chunk_size in
+    let last_free = Array.make (Array.length cost) neg_infinity in
+    for i = 0 to num_sends t - 1 do
+      check_link topo ~eps ~forbidden ~num_chunks ~cost ~last_free c ~offset i;
+      let k = c.chunks.(i) and start = c.starts.(i) +. offset in
+      let src = c.srcs.(i) and dst = c.dsts.(i) in
+      if arrival.(src).(k) > start +. eps then
+        raise
+          (Bad
+             (Printf.sprintf "NPU %d sends chunk %d at %g before holding it" src k start));
+      let finish = c.finishes.(i) +. offset in
+      if finish < arrival.(dst).(k) then arrival.(dst).(k) <- finish
+    done;
     List.iter
-      (fun s ->
-        if s.chunk < 0 || s.chunk >= chunks then
-          raise (Bad (Printf.sprintf "send of unknown chunk %d" s.chunk));
-        let e =
-          try Topology.edge topo s.edge
-          with Invalid_argument _ ->
-            raise (Bad (Printf.sprintf "send over unknown link %d" s.edge))
-        in
-        if e.Topology.src <> s.src || e.Topology.dst <> s.dst then
-          raise
-            (Bad
-               (Printf.sprintf "send %d->%d does not match link %d (%d->%d)" s.src
-                  s.dst s.edge e.Topology.src e.Topology.dst));
-        (match check_forbidden ~eps forbidden s with
-        | Some msg -> raise (Bad msg)
-        | None -> ());
-        let cost = Link.cost e.Topology.link chunk_size in
-        if s.finish -. s.start < cost -. eps then
-          raise
-            (Bad
-               (Printf.sprintf "send of chunk %d on link %d shorter than its α-β cost"
-                  s.chunk s.edge));
-        (match Hashtbl.find_opt last_free s.edge with
-        | Some free when s.start < free -. eps ->
-          raise (Bad (Printf.sprintf "link %d carries two chunks at once" s.edge))
-        | _ -> ());
-        Hashtbl.replace last_free s.edge s.finish;
-        if arrival.(s.src).(s.chunk) > s.start +. eps then
-          raise
-            (Bad
-               (Printf.sprintf "NPU %d sends chunk %d at %g before holding it" s.src
-                  s.chunk s.start));
-        arrival.(s.dst).(s.chunk) <- Float.min arrival.(s.dst).(s.chunk) s.finish)
-      t.sends;
-    List.iter
-      (fun (d, c) ->
-        if arrival.(d).(c) = infinity then
-          raise (Bad (Printf.sprintf "postcondition unmet: NPU %d never gets chunk %d" d c)))
+      (fun (d, k) ->
+        if arrival.(d).(k) = infinity then
+          raise (Bad (Printf.sprintf "postcondition unmet: NPU %d never gets chunk %d" d k)))
       postcondition;
     Ok ()
   with Bad msg -> Error msg
 
-let validate_noncombining topo spec t =
-  validate_positioned topo
+let validate_positioned topo ?(forbidden = []) ~precondition ~postcondition
+    ~num_chunks ~chunk_size t =
+  validate_at topo ~forbidden ~precondition ~postcondition ~num_chunks ~chunk_size
+    ~offset:0. t
+
+let validate_noncombining ?(offset = 0.) topo spec t =
+  validate_at topo ~forbidden:[]
     ~precondition:(Spec.precondition spec)
     ~postcondition:(Spec.postcondition spec)
-    ~num_chunks:(Spec.num_chunks spec) ~chunk_size:(Spec.chunk_size spec) t
+    ~num_chunks:(Spec.num_chunks spec) ~chunk_size:(Spec.chunk_size spec) ~offset t
 
 let validate topo spec t =
   if Pattern.is_combining spec.Spec.pattern then
@@ -166,15 +427,14 @@ let validate_all_reduce topo spec ~reduce_scatter ~all_gather =
     | Error e -> Error ("reduce-scatter phase: " ^ e)
     | Ok () -> (
       let eps = eps_for reduce_scatter.makespan in
-      let ag_start =
-        List.fold_left (fun acc s -> Float.min acc s.start) infinity all_gather.sends
-      in
-      if all_gather.sends <> [] && ag_start < reduce_scatter.makespan -. eps then
-        Error "all-gather phase starts before reduce-scatter completes"
+      if
+        num_sends all_gather > 0
+        && all_gather.sends.starts.(0) < reduce_scatter.makespan -. eps
+      then Error "all-gather phase starts before reduce-scatter completes"
       else
         match
-          validate topo (phase Pattern.All_gather)
-            (shift all_gather (-.reduce_scatter.makespan))
+          validate_noncombining ~offset:(-.reduce_scatter.makespan) topo
+            (phase Pattern.All_gather) all_gather
         with
         | Error e -> Error ("all-gather phase: " ^ e)
         | Ok () -> Ok ()))
@@ -193,7 +453,6 @@ let validate_reduction topo ?(forbidden = []) ~contributions ~postcondition
   let module Iset = Set.Make (Int) in
   let eps = eps_for (Float.max combining.makespan pull.makespan) in
   let npus = Topology.num_npus topo in
-  let exception Bad of string in
   try
     if num_chunks <= 0 then raise (Bad "num_chunks must be positive");
     let contributors = Array.make num_chunks Iset.empty in
@@ -205,43 +464,27 @@ let validate_reduction topo ?(forbidden = []) ~contributions ~postcondition
         contributors.(c) <- Iset.add v contributors.(c);
         absorbed.(v).(c) <- Iset.add v absorbed.(v).(c))
       contributions;
-    (* Physical legality of the union: links exist and match endpoints,
-       durations cover the α-β cost, one chunk per link at a time, no send
-       overlaps a dead interval. *)
-    let all_sends =
-      List.merge
-        (fun a b -> Float.compare a.start b.start)
-        combining.sends pull.sends
-    in
-    let last_free = Hashtbl.create 64 in
-    List.iter
-      (fun s ->
-        if s.chunk < 0 || s.chunk >= num_chunks then
-          raise (Bad (Printf.sprintf "send of unknown chunk %d" s.chunk));
-        let e =
-          try Topology.edge topo s.edge
-          with Invalid_argument _ ->
-            raise (Bad (Printf.sprintf "send over unknown link %d" s.edge))
-        in
-        if e.Topology.src <> s.src || e.Topology.dst <> s.dst then
-          raise
-            (Bad
-               (Printf.sprintf "send %d->%d does not match link %d (%d->%d)" s.src
-                  s.dst s.edge e.Topology.src e.Topology.dst));
-        (match check_forbidden ~eps forbidden s with
-        | Some msg -> raise (Bad msg)
-        | None -> ());
-        if s.finish -. s.start < Link.cost e.Topology.link chunk_size -. eps then
-          raise
-            (Bad
-               (Printf.sprintf "send of chunk %d on link %d shorter than its α-β cost"
-                  s.chunk s.edge));
-        (match Hashtbl.find_opt last_free s.edge with
-        | Some free when s.start < free -. eps ->
-          raise (Bad (Printf.sprintf "link %d carries two chunks at once" s.edge))
-        | _ -> ());
-        Hashtbl.replace last_free s.edge s.finish)
-      all_sends;
+    (* Physical legality of the union, walked in start order (combining
+       first on equal starts): links exist and match endpoints, durations
+       cover the α-β cost, one chunk per link at a time, no send overlaps a
+       dead interval. *)
+    let cost = link_costs topo chunk_size in
+    let last_free = Array.make (Array.length cost) neg_infinity in
+    let nc = num_sends combining and np = num_sends pull in
+    let i = ref 0 and j = ref 0 in
+    while !i < nc || !j < np do
+      if !j >= np || (!i < nc && combining.sends.starts.(!i) <= pull.sends.starts.(!j))
+      then begin
+        check_link topo ~eps ~forbidden ~num_chunks ~cost ~last_free combining.sends
+          ~offset:0. !i;
+        incr i
+      end
+      else begin
+        check_link topo ~eps ~forbidden ~num_chunks ~cost ~last_free pull.sends
+          ~offset:0. !j;
+        incr j
+      end
+    done;
     (* Semantic replay. A combining send snapshots (and spends) the source's
        partial at its start and merges it into the destination at its finish;
        a pull send requires the source to hold the fully reduced value at its
@@ -250,10 +493,10 @@ let validate_reduction topo ?(forbidden = []) ~contributions ~postcondition
     let events =
       List.concat_map
         (fun s -> [ (s.start, 1, `Combine_start, s); (s.finish, 0, `Combine_finish, s) ])
-        combining.sends
+        (to_list combining)
       @ List.concat_map
           (fun s -> [ (s.start, 1, `Pull_start, s); (s.finish, 0, `Pull_finish, s) ])
-          pull.sends
+          (to_list pull)
     in
     let events =
       List.sort
@@ -321,18 +564,19 @@ let validate_reduction topo ?(forbidden = []) ~contributions ~postcondition
 
 let link_bytes topo ~chunk_size t =
   let bytes = Array.make (Topology.num_links topo) 0. in
-  List.iter (fun s -> bytes.(s.edge) <- bytes.(s.edge) +. chunk_size) t.sends;
+  Array.iter (fun e -> bytes.(e) <- bytes.(e) +. chunk_size) t.sends.edges;
   bytes
 
 let link_busy_seconds topo t =
   let busy = Array.make (Topology.num_links topo) 0. in
-  List.iter (fun s -> busy.(s.edge) <- busy.(s.edge) +. (s.finish -. s.start)) t.sends;
+  let c = t.sends in
+  Array.iteri (fun i e -> busy.(e) <- busy.(e) +. (c.finishes.(i) -. c.starts.(i))) c.edges;
   busy
 
 let utilization_timeline topo ~bins t =
   Tacos_util.Timeline.utilization ~bins ~span:t.makespan
     ~capacity:(float_of_int (Topology.num_links topo))
-    (fun f -> List.iter (fun s -> f s.start s.finish) t.sends)
+    (fun f -> Array.iteri (fun i s -> f s t.sends.finishes.(i)) t.sends.starts)
 
 let average_utilization topo t =
   if t.makespan <= 0. then 0.
@@ -342,7 +586,7 @@ let average_utilization topo t =
     total /. (float_of_int (Topology.num_links topo) *. t.makespan)
   end
 
-let chunk_path t c = List.filter (fun s -> s.chunk = c) t.sends
+let chunk_path t c = List.filter (fun s -> s.chunk = c) (to_list t)
 
 module Json = Tacos_util.Json
 
@@ -350,27 +594,21 @@ let of_json_value doc =
   match Option.bind (Json.member "sends" doc) Json.to_list with
   | None -> Error "Schedule.of_json: missing \"sends\" array"
   | Some entries -> (
-    let parse_send entry =
+    let b = Builder.create () in
+    let push entry =
       let int key = Option.bind (Json.member key entry) Json.to_int in
       let num key = Option.bind (Json.member key entry) Json.to_float in
       match (int "chunk", int "src", int "dst", int "link", num "start", num "finish") with
       | Some chunk, Some src, Some dst, Some edge, Some start, Some finish ->
-        Some { chunk; src; dst; edge; start; finish }
-      | _ -> None
+        Builder.push b ~chunk ~edge ~src ~dst ~start ~finish;
+        true
+      | _ -> false
     in
-    match
-      List.fold_left
-        (fun acc entry ->
-          match (acc, parse_send entry) with
-          | Some sends, Some send -> Some (send :: sends)
-          | _ -> None)
-        (Some []) entries
-    with
-    | Some sends -> (
-      match make sends with
+    if not (List.for_all push entries) then Error "Schedule.of_json: malformed send entry"
+    else
+      match Builder.build b with
       | sched -> Ok sched
       | exception Invalid_argument e -> Error ("Schedule.of_json: " ^ e))
-    | None -> Error "Schedule.of_json: malformed send entry")
 
 let of_json text =
   match Json.parse text with
@@ -382,15 +620,16 @@ let of_json text =
    floats unchanged ([%.17g] round-trips every finite float). *)
 let to_json_fields ?spec t =
   let int i = Json.Number (float_of_int i) in
-  let send s =
+  let c = t.sends in
+  let send i =
     Json.Object
       [
-        ("chunk", int s.chunk);
-        ("src", int s.src);
-        ("dst", int s.dst);
-        ("link", int s.edge);
-        ("start", Json.Number s.start);
-        ("finish", Json.Number s.finish);
+        ("chunk", int c.chunks.(i));
+        ("src", int c.srcs.(i));
+        ("dst", int c.dsts.(i));
+        ("link", int c.edges.(i));
+        ("start", Json.Number c.starts.(i));
+        ("finish", Json.Number c.finishes.(i));
       ]
   in
   (match spec with
@@ -404,12 +643,12 @@ let to_json_fields ?spec t =
   | None -> [])
   @ [
       ("makespan_seconds", Json.Number t.makespan);
-      ("sends", Json.Array (List.map send t.sends));
+      ("sends", Json.Array (List.init (num_sends t) send));
     ]
 
 let to_json ?spec t =
-  let last = List.length t.sends - 1 in
-  let buf = Buffer.create (256 + (96 * (last + 1))) in
+  let n = num_sends t in
+  let buf = Buffer.create (256 + (96 * n)) in
   Buffer.add_string buf "{\n";
   (match spec with
   | Some s ->
@@ -421,23 +660,23 @@ let to_json ?spec t =
   | None -> ());
   Buffer.add_string buf (Printf.sprintf "  \"makespan_seconds\": %.17g,\n" t.makespan);
   Buffer.add_string buf "  \"sends\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"chunk\": %d, \"src\": %d, \"dst\": %d, \"link\": %d, \
-            \"start\": %.17g, \"finish\": %.17g}%s\n"
-           s.chunk s.src s.dst s.edge s.start s.finish
-           (if i = last then "" else ",")))
-    t.sends;
+  let c = t.sends in
+  for i = 0 to n - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf
+         "    {\"chunk\": %d, \"src\": %d, \"dst\": %d, \"link\": %d, \
+          \"start\": %.17g, \"finish\": %.17g}%s\n"
+         c.chunks.(i) c.srcs.(i) c.dsts.(i) c.edges.(i) c.starts.(i) c.finishes.(i)
+         (if i = n - 1 then "" else ","))
+  done;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
 
 let pp_events ?(chunk_names = string_of_int) ppf t =
-  List.iter
+  iter
     (fun s ->
       Format.fprintf ppf "[%10s - %10s] chunk %-6s  NPU %d -> NPU %d (link %d)@."
         (Tacos_util.Units.time_pp s.start)
         (Tacos_util.Units.time_pp s.finish)
         (chunk_names s.chunk) s.src s.dst s.edge)
-    t.sends
+    t

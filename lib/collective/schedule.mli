@@ -11,6 +11,7 @@ open Tacos_topology
     physical link for one interval, and a link carries at most one chunk at a
     time (the congestion-freedom invariant of §IV-B). *)
 
+(** One send — the row view of a schedule. *)
 type send = {
   chunk : int;
   edge : int;  (** physical link id in the topology *)
@@ -20,13 +21,73 @@ type send = {
   finish : float;
 }
 
-type t = private { sends : send list; makespan : float }
-(** [sends] are sorted by start time; [makespan] is the largest finish time
-    (0 for the empty schedule). *)
+type columns = {
+  chunks : int array;
+  edges : int array;  (** physical link ids *)
+  srcs : int array;
+  dsts : int array;
+  starts : float array;
+  finishes : float array;
+}
+(** The send store: one array per field, row [i] of every array together
+    being one send. *)
 
-val make : send list -> t
+type t = private { sends : columns; makespan : float }
+(** A schedule is one {!columns} store, sorted once when it is built: rows
+    ascend by [(start, finish)], and rows tied on both keep the order the
+    constructor documents. [makespan] is the largest finish time (0 for the
+    empty schedule). Every operation below keeps that order instead of
+    re-sorting. The arrays of a schedule may be shared with the schedules
+    derived from it, so they must not be written to.
+
+    Costs, for [n] rows: building ({!make}, {!of_sends}, {!Builder.build})
+    is one check pass plus a natural merge sort — O(n) on rows already in
+    order, O(n log r) for [r] sorted runs; {!shift} and {!concat} are O(n)
+    with no comparison sort; {!merge} of [k] sorted parts is O(n log k);
+    {!reverse} is one index sort of the mirrored keys; the validators, the
+    analyses and the codec are single passes over the columns. *)
+
+type schedule = t
+
+val make : columns -> t
+(** Check every row and sort the store stably by [(start, finish)]: rows
+    that tie keep their order in the store. The store is taken over, not
+    copied, when it is already in order. Raises
+    [Invalid_argument "Schedule.make: bad send interval"] on a row whose
+    start is negative or not finite or whose finish is before its start or
+    not finite, and [Invalid_argument] on columns of unequal length. *)
+
+val of_sends : send list -> t
+(** {!make} on a list of rows; tied rows keep their list order. *)
+
+(** A growable store that rows are pushed into one at a time — how the
+    synthesizer, the TEN, the router and the JSON reader emit schedules. *)
+module Builder : sig
+  type t
+
+  val create : unit -> t
+
+  val push :
+    t -> chunk:int -> edge:int -> src:int -> dst:int -> start:float -> finish:float -> unit
+
+  val build : t -> schedule
+  (** The schedule of every row pushed so far ({!make}'s checks and
+      errors). Rows tied on [(start, finish)] come out in reverse push
+      order — the order {!of_sends} gives a list built by prepending each
+      row. *)
+end
+
 val empty : t
 val num_sends : t -> int
+
+val iter : (send -> unit) -> t -> unit
+(** The rows in time order. *)
+
+val to_list : t -> send list
+
+val filter : (send -> bool) -> t -> t
+(** The rows that satisfy the predicate, in their order; the makespan is
+    recomputed from them. *)
 
 val eps_for : float -> float
 (** Magnitude-scaled tolerance for floating-point time comparisons:
@@ -34,23 +95,36 @@ val eps_for : float -> float
     reservation calendars so "free slot" and "congestion-free" agree. *)
 
 val shift : t -> float -> t
-(** Translate every send in time. *)
+(** Translate every send in time: an offset added to the two time columns,
+    the other columns shared, and no comparison sort: rounding can only
+    create ties, never invert two starts, so the rows stay in order (the
+    rare finish order broken among new ties is mended by {!make}'s run
+    merge). Raises like {!make} when a time goes negative. *)
 
 val reverse : t -> t
 (** Time-mirror the schedule and swap each send's direction, keeping the
     link id — the §IV-E reversal that turns an All-Gather on the reversed
-    topology into a Reduce-Scatter on the original one (Fig. 11). *)
+    topology into a Reduce-Scatter on the original one (Fig. 11). One index
+    sort on the mirrored [(start, finish)] keys; ties keep their order in
+    [t]. *)
 
 val concat : t -> t -> t
 (** [concat a b] runs [b] after [a] ([b] shifted by [a.makespan]) — how
-    All-Reduce is assembled from Reduce-Scatter and All-Gather. *)
+    All-Reduce is assembled from Reduce-Scatter and All-Gather. It is
+    {!union} of [a] and the shifted [b], which is an append since every row
+    of [b] then starts at or after every row of [a]. *)
+
+val merge : t list -> t
+(** Stable k-way merge of schedules overlaid as-is (no shifting): the rows
+    in [(start, finish)] order, ties broken by part index and then by
+    position within the part — what a stable sort of the concatenation
+    gives — with the largest makespan. O(n log k) for [k] parts, O(n) when
+    the parts follow one another in time. The caller is responsible for
+    the parts being disjoint in link occupancy where they overlap in time.
+    Hierarchical plans compose their lifted sub-schedules with it. *)
 
 val union : t -> t -> t
-(** [union a b] overlays two schedules as-is (no shifting): the sends of
-    both, sorted, with the larger makespan. O(n) — it merges the two
-    already-sorted send lists instead of re-sorting, so composing many
-    parts stays linear. The caller is responsible for the parts being
-    disjoint in link occupancy where they overlap in time. *)
+(** [union a b] is [merge [a; b]]: [a] wins ties. *)
 
 val phase_of_send : reduce_scatter:t -> send -> string
 (** Which phase of a {!concat}-assembled All-Reduce a send belongs to:
@@ -74,7 +148,8 @@ val validate_positioned :
     chunks actually were when the fault landed. Non-combining semantics.
     [forbidden] lists [(link, dead_from)] pairs: a send overlapping a link's
     dead interval fails validation, which lets composite repaired schedules
-    (kept prefix + patches) validate on the {e healthy} topology. *)
+    (kept prefix + patches) validate on the {e healthy} topology. One pass
+    over the rows; link occupancy is an array indexed by link. *)
 
 val validate_reduction :
   Topology.t ->
@@ -117,7 +192,9 @@ val validate_all_reduce :
   Topology.t -> Spec.t -> reduce_scatter:t -> all_gather:t -> (unit, string) result
 (** Validate an All-Reduce assembled as a Reduce-Scatter phase followed by an
     All-Gather phase (the All-Gather is expected to start after the
-    Reduce-Scatter's makespan, as produced by {!concat}). *)
+    Reduce-Scatter's makespan, as produced by {!concat}). The All-Gather
+    rows are checked in place at an offset of minus the Reduce-Scatter
+    makespan, without a shifted copy. *)
 
 (** {1 Analyses} *)
 

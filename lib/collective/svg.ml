@@ -49,7 +49,7 @@ let render topo (sched : Schedule.t) =
          (y + row_height - 4) edge.Topology.src edge.Topology.dst)
   done;
   (* Sends. *)
-  List.iter
+  Schedule.iter
     (fun (s : Schedule.send) ->
       let y = top_margin + (s.edge * row_height) in
       let x0 = x_of s.start and x1 = x_of s.finish in
@@ -61,6 +61,6 @@ let render topo (sched : Schedule.t) =
            s.src s.dst
            (Tacos_util.Units.time_pp s.start)
            (Tacos_util.Units.time_pp s.finish)))
-    sched.Schedule.sends;
+    sched;
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf

@@ -133,12 +133,10 @@ let restore_phases (spec : Spec.t) (schedule : Schedule.t) doc =
     match Option.bind (Json.member "reduce_scatter_makespan" doc) Json.to_float with
     | Some rs_makespan ->
       let eps = Schedule.eps_for rs_makespan in
-      let rs, ag =
-        List.partition
-          (fun (s : Schedule.send) -> s.start +. eps < rs_makespan)
-          schedule.Schedule.sends
-      in
-      Some (Schedule.make rs, Schedule.make ag)
+      let in_rs (s : Schedule.send) = s.start +. eps < rs_makespan in
+      Some
+        ( Schedule.filter in_rs schedule,
+          Schedule.filter (fun s -> not (in_rs s)) schedule )
     | None -> None)
   | _ -> None
 

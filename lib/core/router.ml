@@ -66,7 +66,10 @@ let route_jobs ?(seed = 42) topo ~chunk_size jobs =
     (Topology.edges topo);
   (* Route one chunk src->dst through the partially reserved TEN: Dijkstra
      on earliest arrival, where taking link e from a node reached at time t
-     departs at the link's earliest free slot. *)
+     departs at the link's earliest free slot. The walk back from dst pushes
+     the hops last first, so every route's hops (and the routes themselves)
+     tie in reverse order. *)
+  let sends = Schedule.Builder.create () in
   let route { chunk; src; dst } =
     let arrival = Array.make n infinity in
     let via = Array.make n None (* (edge id, start time) taken into the node *) in
@@ -106,39 +109,30 @@ let route_jobs ?(seed = 42) topo ~chunk_size jobs =
     if arrival.(dst) = infinity then
       raise (Synthesizer.Stuck "routing found no path");
     (* Walk back from dst, reserving and emitting. *)
-    let rec backtrack v acc =
-      if v = src then acc
-      else
+    let rec backtrack v =
+      if v <> src then
         match via.(v) with
         | None -> assert false
         | Some (edge_id, start) ->
           let e = Topology.edge topo edge_id in
           Calendar.reserve calendars.(edge_id) ~start ~dur:cost.(edge_id);
+          Schedule.Builder.push sends ~chunk ~edge:edge_id ~src:e.Topology.src
+            ~dst:e.Topology.dst ~start ~finish:(start +. cost.(edge_id));
           backtrack e.Topology.src
-            ({
-               Schedule.chunk;
-               edge = edge_id;
-               src = e.Topology.src;
-               dst = e.Topology.dst;
-               start;
-               finish = start +. cost.(edge_id);
-             }
-            :: acc)
     in
-    backtrack dst []
+    backtrack dst
   in
   let jobs = Array.of_list jobs in
   Rng.shuffle_in_place rng jobs;
-  let sends = ref [] in
   Obs.time obs_route_timer (fun () ->
       Array.iter
         (fun job ->
           if job.src <> job.dst then begin
             Obs.incr obs_jobs;
-            sends := route job @ !sends
+            route job
           end)
         jobs);
-  Schedule.make !sends
+  Schedule.Builder.build sends
 
 let jobs_of_spec (spec : Spec.t) =
   let n = spec.npus in

@@ -303,7 +303,7 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
      of the healthy path is untouched when the mask is empty. *)
   List.iter (fun e -> link_free.(e) <- infinity) dead;
   let events = Fheap.create () in
-  let sends = ref [] in
+  let sends = Schedule.Builder.create () in
   let rounds = ref 0 and matches = ref 0 in
   let idle = Array.make m 0 in
   let now = ref 0. in
@@ -412,9 +412,7 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
           let c = pick_chunk e s d in
           if c >= 0 then begin
             let finish = t +. cost.(e) in
-            sends :=
-              { Schedule.chunk = c; edge = e; src = s; dst = d; start = t; finish }
-              :: !sends;
+            Schedule.Builder.push sends ~chunk:c ~edge:e ~src:s ~dst:d ~start:t ~finish;
             arrival.(d).(c) <- finish;
             Ivec.push holds.(d) c;
             has_version.(d) <- has_version.(d) + 1;
@@ -453,7 +451,7 @@ let synthesize_pull ~prefer_cheap_links ?deadline ?reuse ?(dead = [])
     | _ -> ());
     Trace.with_span "round" round_body
   done;
-  (Schedule.make !sends, !rounds, !matches)
+  (Schedule.Builder.build sends, !rounds, !matches)
 
 (* One full trial of a spec, returning ((schedule, phases), rounds, matches).
    All-Reduce is its Reduce-Scatter phase followed by its All-Gather phase,
@@ -486,7 +484,7 @@ let rec trial ~prefer_cheap_links ?deadline ~constraints rng topo
     let (rs, _), r1, m1 = phase Pattern.Reduce_scatter in
     let (ag, _), r2, m2 = phase Pattern.All_gather in
     let ag_shifted = Schedule.shift ag rs.Schedule.makespan in
-    ((Schedule.concat rs ag, Some (rs, ag_shifted)), r1 + r2, m1 + m2)
+    ((Schedule.union rs ag_shifted, Some (rs, ag_shifted)), r1 + r2, m1 + m2)
   | Pattern.Gather _ | Pattern.Scatter _ ->
     raise
       (Unsupported

@@ -8,15 +8,13 @@ open Tacos_collective
     array, link map, and a caller-supplied chunk map, and translates it in
     time to the phase's start offset. Because the lifted sends keep their
     relative timing and each global link belongs to exactly one group (or
-    one slice) per phase, the merged send list stays congestion-free and
-    {!Schedule.validate} accepts it chronologically. *)
+    one slice) per phase, the lifted parts merged by {!Schedule.merge} stay
+    congestion-free and {!Schedule.validate} accepts them chronologically. *)
 
-val lift :
-  Group.t -> chunk_map:(int -> int) -> offset:float -> Schedule.t -> Schedule.send list
-(** Rewrite every send of a local schedule to global NPU ids
-    ([members.(rank)]), global link ids ([link_map.(edge)]) and global chunk
-    ids ([chunk_map chunk]), shifted by [offset] seconds. *)
-
-val assemble : Schedule.send list list -> Schedule.t
-(** Merge lifted phases into one full-fabric schedule ({!Schedule.make}
-    re-sorts by start time). *)
+val lift : (Group.t * (int -> int) * float * Schedule.t) list -> Schedule.t list
+(** [lift [(group, chunk_map, offset, schedule); ...]] rewrites every send
+    of each local schedule to global NPU ids ([members.(rank)]), global link
+    ids ([link_map.(edge)]) and global chunk ids ([chunk_map chunk]),
+    shifted by [offset] seconds: each id column is gathered through its
+    map, and the rows keep their order. Parts that share one schedule
+    (physically) and one offset share its shifted time columns. *)

@@ -131,11 +131,12 @@ let synth_parts ctx elements =
 (* Lift every part's schedule to start at [offset]; the phase ends with its
    slowest part. *)
 let lift_at offset parts =
-  let sends =
-    List.concat_map
-      (fun (group, chunk_map, (r : Synthesizer.result)) ->
-        Compose.lift group ~chunk_map ~offset r.schedule)
-      parts
+  let lifted =
+    Compose.lift
+      (List.map
+         (fun (group, chunk_map, (r : Synthesizer.result)) ->
+           (group, chunk_map, offset, r.schedule))
+         parts)
   in
   let finish =
     List.fold_left
@@ -143,11 +144,11 @@ let lift_at offset parts =
         Float.max acc (offset +. r.schedule.Schedule.makespan))
       offset parts
   in
-  (sends, finish)
+  (lifted, finish)
 
 (* One phase: synthesize (deduped) each part, [lift] the parts into the
-   composed timeline (returning the lifted sends and the phase's completion
-   time), and account. Returns the lifted sends, the completion time, and
+   composed timeline (returning the lifted parts and the phase's completion
+   time), and account. Returns the lifted parts, the completion time, and
    the phase's info row. *)
 let run_phase ctx ~phase ~offset ~lift elements =
   let parts = synth_parts ctx elements in
@@ -294,7 +295,7 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
   in
 
   let assemble phases =
-    Obs.time t_assemble (fun () -> Compose.assemble phases)
+    Obs.time t_assemble (fun () -> Schedule.merge (List.concat phases))
   in
   match spec.Spec.pattern with
   | Pattern.All_gather ->
@@ -356,23 +357,22 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
             Float.max acc (t1 +. rs.Schedule.makespan))
           t1 parts
       in
-      let rs_sends =
-        List.concat_map
-          (fun (sl, chunk_map, rs, _) -> Compose.lift sl ~chunk_map ~offset:t1 rs)
-          parts
+      let rs_parts =
+        Compose.lift (List.map (fun (sl, chunk_map, rs, _) -> (sl, chunk_map, t1, rs)) parts)
       in
       let ag_end = ref rs_end in
-      let ag_sends =
-        List.concat_map
-          (fun (sl, chunk_map, (rs : Schedule.t), (ag : Schedule.t)) ->
-            let offset = rs_end -. rs.Schedule.makespan in
-            ag_end := Float.max !ag_end (offset +. ag.Schedule.makespan);
-            Compose.lift sl ~chunk_map ~offset ag)
-          parts
+      let ag_parts =
+        Compose.lift
+          (List.map
+             (fun (sl, chunk_map, (rs : Schedule.t), (ag : Schedule.t)) ->
+               let offset = rs_end -. rs.Schedule.makespan in
+               ag_end := Float.max !ag_end (offset +. ag.Schedule.makespan);
+               (sl, chunk_map, offset, ag))
+             parts)
       in
-      ((rs_sends, ag_sends), !ag_end)
+      ((rs_parts, ag_parts), !ag_end)
     in
-    let (rs_sends, ag_sends), t2, i2 =
+    let (rs_parts, ag_parts), t2, i2 =
       run_phase ctx ~phase:"inter-all-reduce" ~offset:t1 ~lift:lift_split
         (inter_elems Pattern.All_reduce)
     in
@@ -380,11 +380,11 @@ let synthesize ?(seed = 42) ?(trials = 1) ?(domains = 1)
     (* Every all-gather send starts at or after the slowest slice
        Reduce-Scatter's end, i.e. no earlier than any reduce-scatter send,
        so the composed schedule is the O(n) ordered union of the two
-       halves — no third full sort. *)
+       halves. *)
     let rs_part, ag_part, composed =
       Obs.time t_assemble (fun () ->
-          let rs_part = Schedule.make (s1 @ rs_sends) in
-          let ag_part = Schedule.make (ag_sends @ s3) in
+          let rs_part = Schedule.merge (s1 @ rs_parts) in
+          let ag_part = Schedule.merge (ag_parts @ s3) in
           (rs_part, ag_part, Schedule.union rs_part ag_part))
     in
     finish composed (Some (rs_part, ag_part)) [ i1; i2; i3 ]

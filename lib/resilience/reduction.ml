@@ -50,15 +50,19 @@ type event_kind = Combine_start | Combine_finish | Pull_finish
    replays without ever splitting a contribution in two places. *)
 let replay t ~combining ~pull ~at =
   let eps = Schedule.eps_for at in
-  let kept sends = List.filter (fun (s : Schedule.send) -> s.Schedule.finish <= at +. eps) sends in
+  let kept sched =
+    List.filter
+      (fun (s : Schedule.send) -> s.Schedule.finish <= at +. eps)
+      (Schedule.to_list sched)
+  in
   let events =
     List.concat_map
       (fun (s : Schedule.send) ->
         [ (s.Schedule.start, 1, Combine_start, s); (s.Schedule.finish, 0, Combine_finish, s) ])
-      (kept combining.Schedule.sends)
+      (kept combining)
     @ List.map
         (fun (s : Schedule.send) -> (s.Schedule.finish, 0, Pull_finish, s))
-        (kept pull.Schedule.sends)
+        (kept pull)
   in
   let events =
     List.sort

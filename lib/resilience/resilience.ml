@@ -236,7 +236,7 @@ let classify topo faults (result : Synth.result) =
   let slowed = List.map fst (Fault.degraded_links topo faults) in
   let used_dead = Hashtbl.create 8 and used_slow = Hashtbl.create 8 in
   let lost = ref 0 in
-  List.iter
+  Schedule.iter
     (fun (s : Schedule.send) ->
       if List.mem s.Schedule.edge dead then begin
         incr lost;
@@ -244,7 +244,7 @@ let classify topo faults (result : Synth.result) =
       end
       else if List.mem s.Schedule.edge slowed then
         Hashtbl.replace used_slow s.Schedule.edge ())
-    result.Synth.schedule.Schedule.sends;
+    result.Synth.schedule;
   let ids tbl = List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) tbl []) in
   if !lost > 0 then Broken { links = ids used_dead; lost_sends = !lost }
   else if Hashtbl.length used_slow > 0 then Degraded_timing { links = ids used_slow }
@@ -386,10 +386,8 @@ let repair_step ~seed ~trials ~domains ~at ~dead ~slowed ~forbidden ~degraded
     ctx split =
   let eps = Schedule.eps_for at in
   let keep (s : Schedule.send) = s.Schedule.finish <= at +. eps in
-  let kept_c = List.filter keep split.combining.Schedule.sends in
-  let kept_p = List.filter keep split.pull.Schedule.sends in
-  let kept_combining = Schedule.make kept_c in
-  let kept_pull = Schedule.make kept_p in
+  let kept_combining = Schedule.filter keep split.combining in
+  let kept_pull = Schedule.filter keep split.pull in
   let tracker =
     Reduction.create
       ~num_npus:(Topology.num_npus ctx.topo)
@@ -404,9 +402,7 @@ let repair_step ~seed ~trials ~domains ~at ~dead ~slowed ~forbidden ~degraded
   if unmet = [] then begin
     Obs.incr obs_repair_complete;
     let done_at =
-      List.fold_left
-        (fun acc (s : Schedule.send) -> Float.max acc s.Schedule.finish)
-        0. (kept_c @ kept_p)
+      Float.max kept_combining.Schedule.makespan kept_pull.Schedule.makespan
     in
     `Repaired
       ( {
@@ -480,7 +476,8 @@ let repair_step ~seed ~trials ~domains ~at ~dead ~slowed ~forbidden ~degraded
             strategy =
               Suffix
                 {
-                  kept_sends = List.length kept_c + List.length kept_p;
+                  kept_sends =
+                    Schedule.num_sends kept_combining + Schedule.num_sends kept_pull;
                   replanned = Schedule.num_sends patch;
                   schedule = patch;
                   plan;
@@ -523,11 +520,11 @@ let lift_full ~at topo faults spec (o : outcome) =
     let map = Fault.link_id_map topo faults in
     let lift s =
       Schedule.shift
-        (Schedule.make
+        (Schedule.of_sends
            (List.map
               (fun (snd : Schedule.send) ->
                 { snd with Schedule.edge = map.(snd.Schedule.edge) })
-              s.Schedule.sends))
+              (Schedule.to_list s)))
         at
     in
     match spec.Spec.pattern with

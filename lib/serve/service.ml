@@ -231,10 +231,10 @@ let csv_of_result topo (result : Synth.result) =
   row [ "Synthesis Time"; Printf.sprintf "%.6f" result.Synth.stats.Synth.wall_seconds; "s" ];
   row [ "SrcID"; "DestID"; "Latency (ns)"; "Bandwidth (GB/s)"; "Chunks (ID:ns:ns)" ];
   let per_edge = Array.make (Topology.num_links topo) [] in
-  List.iter
+  Schedule.iter
     (fun (s : Schedule.send) ->
       per_edge.(s.Schedule.edge) <- s :: per_edge.(s.Schedule.edge))
-    result.Synth.schedule.Schedule.sends;
+    result.Synth.schedule;
   List.iter
     (fun (e : Topology.edge) ->
       let chunks =

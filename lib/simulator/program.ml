@@ -80,18 +80,23 @@ let of_schedule ?(tag_of = default_tag_of) ~chunk_size (sched : Schedule.t) =
      earlier arrivals of its chunk at its source: one arrival for gather-side
      phases, several for the time-mirrored reduction phases (where partial
      contributions converge before the combined value moves on). *)
-  let delivered = Hashtbl.create 64 in
-  List.iter
+  let c = sched.Schedule.sends in
+  let bound a = Array.fold_left Int.max (-1) a + 1 in
+  let negative a = Array.exists (fun v -> v < 0) a in
+  if negative c.chunks || negative c.srcs || negative c.dsts then
+    invalid_arg "Program.of_schedule: negative NPU or chunk id";
+  let chunks = bound c.chunks in
+  (* delivered.(npu * chunks + chunk): the transfers that brought the chunk
+     to the NPU so far, latest first. *)
+  let delivered = Array.make (max (bound c.srcs) (bound c.dsts) * chunks) [] in
+  Schedule.iter
     (fun (s : Schedule.send) ->
-      let deps =
-        Option.value ~default:[] (Hashtbl.find_opt delivered (s.src, s.chunk))
-      in
       let id =
-        add b ~tag:(tag_of s) ~deps ~src:s.src ~dst:s.dst ~size:chunk_size ()
+        add b ~tag:(tag_of s)
+          ~deps:delivered.((s.src * chunks) + s.chunk)
+          ~src:s.src ~dst:s.dst ~size:chunk_size ()
       in
-      let at_dst =
-        Option.value ~default:[] (Hashtbl.find_opt delivered (s.dst, s.chunk))
-      in
-      Hashtbl.replace delivered (s.dst, s.chunk) (id :: at_dst))
-    sched.Schedule.sends;
+      let at_dst = (s.dst * chunks) + s.chunk in
+      delivered.(at_dst) <- id :: delivered.(at_dst))
+    sched;
   build b

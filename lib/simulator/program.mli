@@ -78,4 +78,6 @@ val of_schedule : ?tag_of:(Schedule.send -> string) -> chunk_size:float -> Sched
     same simulator backend as the baselines (§V-C). [tag_of] names each
     transfer (default ["chunk%d"]); `tacos trace` uses it to carry the
     collective phase so the critical-path analyzer can attribute the
-    makespan per phase. *)
+    makespan per phase. The deliveries are kept in an array indexed by
+    (NPU, chunk), sized by the largest ids in the schedule; raises
+    [Invalid_argument] on a negative NPU or chunk id. *)

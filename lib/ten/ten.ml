@@ -57,7 +57,7 @@ let of_schedule topo ~span_cost sched =
     int_of_float rounded
   in
   let t = create topo ~span_cost in
-  List.iter
+  Schedule.iter
     (fun (s : Schedule.send) ->
       if Float.abs (s.finish -. s.start -. span_cost) > tol then
         invalid_arg "Ten.of_schedule: send duration differs from the span cost";
@@ -66,11 +66,11 @@ let of_schedule topo ~span_cost sched =
         expand t
       done;
       match_chunk t ~span ~edge:s.edge ~chunk:s.chunk)
-    sched.Schedule.sends;
+    sched;
   t
 
 let to_schedule t =
-  let sends = ref [] in
+  let b = Schedule.Builder.create () in
   List.iteri
     (fun rev_idx a ->
       let span = t.num_spans - 1 - rev_idx in
@@ -81,19 +81,11 @@ let to_schedule t =
           | Some chunk ->
             let e = Topology.edge t.topo edge_id in
             let start = float_of_int span *. t.span_cost in
-            sends :=
-              {
-                Schedule.chunk;
-                edge = edge_id;
-                src = e.Topology.src;
-                dst = e.Topology.dst;
-                start;
-                finish = start +. t.span_cost;
-              }
-              :: !sends)
+            Schedule.Builder.push b ~chunk ~edge:edge_id ~src:e.Topology.src
+              ~dst:e.Topology.dst ~start ~finish:(start +. t.span_cost))
         a)
     t.grid;
-  Schedule.make !sends
+  Schedule.Builder.build b
 
 (* --- cached expansion state ------------------------------------------------
 

@@ -73,7 +73,7 @@ let ring3 () = Builders.ring ~link:unit_link ~bidirectional:false 3
 (* The unidirectional ring All-Gather of Fig. 7, written out by hand. *)
 let ring3_ag_schedule topo =
   let link s d = (List.hd (Topology.find_links topo ~src:s ~dst:d)).Topology.id in
-  Schedule.make
+  Schedule.of_sends
     [
       { Schedule.chunk = 0; edge = link 0 1; src = 0; dst = 1; start = 0.; finish = 1. };
       { Schedule.chunk = 1; edge = link 1 2; src = 1; dst = 2; start = 0.; finish = 1. };
@@ -123,7 +123,7 @@ let test_reversed_ag_is_valid_rs () =
   let ag_on_rev =
     (* Fig. 7's pattern laid on the reversed ring: links are 1->0, 2->1, 0->2. *)
     let link s d = (List.hd (Topology.find_links rev_topo ~src:s ~dst:d)).Topology.id in
-    Schedule.make
+    Schedule.of_sends
       [
         { Schedule.chunk = 0; edge = link 0 2; src = 0; dst = 2; start = 0.; finish = 1. };
         { Schedule.chunk = 1; edge = link 1 0; src = 1; dst = 0; start = 0.; finish = 1. };
@@ -150,7 +150,7 @@ let test_validator_rejects_congestion () =
   let link s d = (List.hd (Topology.find_links topo ~src:s ~dst:d)).Topology.id in
   (* Two chunks on link 0->1 during overlapping intervals. *)
   let sched =
-    Schedule.make
+    Schedule.of_sends
       [
         { Schedule.chunk = 0; edge = link 0 1; src = 0; dst = 1; start = 0.; finish = 1. };
         { Schedule.chunk = 2; edge = link 0 1; src = 0; dst = 1; start = 0.5; finish = 1.5 };
@@ -163,7 +163,7 @@ let test_validator_rejects_teleportation () =
   let link s d = (List.hd (Topology.find_links topo ~src:s ~dst:d)).Topology.id in
   (* NPU 1 forwards chunk 0 before ever receiving it. *)
   let sched =
-    Schedule.make
+    Schedule.of_sends
       [
         { Schedule.chunk = 0; edge = link 1 2; src = 1; dst = 2; start = 0.; finish = 1. };
       ]
@@ -174,7 +174,7 @@ let test_validator_rejects_too_fast_sends () =
   let topo = ring3 () in
   let link s d = (List.hd (Topology.find_links topo ~src:s ~dst:d)).Topology.id in
   let sched =
-    Schedule.make
+    Schedule.of_sends
       [
         { Schedule.chunk = 0; edge = link 0 1; src = 0; dst = 1; start = 0.; finish = 0.25 };
       ]
@@ -189,7 +189,7 @@ let test_validator_rejects_wrong_endpoints () =
   let topo = ring3 () in
   let link s d = (List.hd (Topology.find_links topo ~src:s ~dst:d)).Topology.id in
   let sched =
-    Schedule.make
+    Schedule.of_sends
       [
         { Schedule.chunk = 0; edge = link 1 2; src = 0; dst = 1; start = 0.; finish = 1. };
       ]
@@ -214,7 +214,7 @@ let test_utilization_timeline () =
   let topo = ring3 () in
   let link s d = (List.hd (Topology.find_links topo ~src:s ~dst:d)).Topology.id in
   let sched =
-    Schedule.make
+    Schedule.of_sends
       [
         { Schedule.chunk = 0; edge = link 0 1; src = 0; dst = 1; start = 0.; finish = 1. };
         { Schedule.chunk = 0; edge = link 1 2; src = 1; dst = 2; start = 1.; finish = 2. };
@@ -309,8 +309,18 @@ let test_of_json_rejects_malformed () =
       ({|{"sends": [{"chunk": 1}]}|}, "Schedule.of_json: malformed send entry");
       ( {|{"sends": [{"chunk": 0, "src": 0, "dst": 1, "link": 0, "start": 2, "finish": 1}]}|},
         "Schedule.of_json: Schedule.make: bad send interval" );
+      ( {|{"sends": [{"chunk": 0, "src": 0, "dst": 1, "link": 0, "start": 1e999, "finish": 1e999}]}|},
+        "Schedule.of_json: Schedule.make: bad send interval" );
+      ( {|{"sends": [{"chunk": 0, "src": 0, "dst": 1, "link": 0, "start": 0, "finish": 1e999}]}|},
+        "Schedule.of_json: Schedule.make: bad send interval" );
       ("[1, 2]", {|Schedule.of_json: missing "sends" array|});
-    ]
+    ];
+  (* JSON cannot spell NaN; the constructor refuses it directly. *)
+  Alcotest.check_raises "NaN start" (Invalid_argument "Schedule.make: bad send interval")
+    (fun () ->
+      ignore
+        (Schedule.of_sends
+           [ { Schedule.chunk = 0; edge = 0; src = 0; dst = 1; start = nan; finish = 1. } ]))
 
 (* Schedules for the codec-agreement tests: the empty one and synthesized
    All-Gather, Reduce-Scatter and All-Reduce on a mesh whose α-β costs and
@@ -342,8 +352,8 @@ let test_json_fields_match_parsed_text () =
             (* Ties on (start, finish) may swap places; the sends themselves
                come back bit for bit. *)
             Alcotest.(check bool) (what ^ ": every send restored") true
-              (List.sort compare back.Schedule.sends
-              = List.sort compare sched.Schedule.sends))
+              (List.sort compare (Schedule.to_list back)
+              = List.sort compare (Schedule.to_list sched)))
         [ (" with spec", Some sp); (" without spec", None) ])
     (codec_cases ())
 

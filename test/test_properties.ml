@@ -44,7 +44,7 @@ let prop_reverse_involutive =
            (fun (x : Schedule.send) (y : Schedule.send) ->
              x.chunk = y.chunk && x.edge = y.edge && x.src = y.src && x.dst = y.dst
              && close x.start y.start)
-           rr.Schedule.sends s.Schedule.sends)
+           (Schedule.to_list rr) (Schedule.to_list s))
 
 let prop_concat_additive =
   QCheck.Test.make ~name:"concat adds makespans" ~count:30 arb (fun params ->
@@ -60,6 +60,81 @@ let prop_json_roundtrip =
         close back.Schedule.makespan s.Schedule.makespan
         && Schedule.num_sends back = Schedule.num_sends s
         && Schedule.validate topo spec back = Ok ())
+
+(* --- the columnar IR against the list oracle ------------------------------
+
+   Random rows on a unit-cost ring with heavy ties: few distinct start
+   times and durations, so most rows tie on (start, finish) and every
+   operation's tie order is exercised; some durations are shorter than the
+   link cost and some links are misnamed, so the validators also disagree
+   with the schedule now and then. Offsets such as 0.1 and 1/3 round, which
+   can tie rows that were apart. *)
+
+let oracle_ring = Builders.ring ~link:unit_link 4
+let oracle_edges = Array.of_list (Topology.edges oracle_ring)
+
+let row_gen =
+  QCheck.Gen.(
+    let* e = int_bound (Array.length oracle_edges - 1) in
+    let* chunk = int_bound 3 in
+    let* start = oneofl [ 0.; 0.5; 1.; 2.; 3. ] in
+    let* dur = oneofl [ 1.; 1.; 1.5; 0.5 ] in
+    let* swap = frequency [ (9, return false); (1, return true) ] in
+    let edge = oracle_edges.(e) in
+    let src, dst = if swap then (edge.dst, edge.src) else (edge.src, edge.dst) in
+    return { Schedule.chunk; edge = edge.id; src; dst; start; finish = start +. dur })
+
+let rows_gen = QCheck.Gen.(list_size (int_bound 30) row_gen)
+let offset_gen = QCheck.Gen.oneofl [ 0.; 0.1; 1. /. 3.; 2.5; 1e-3 ]
+
+let agrees (s : Schedule.t) (o : List_schedule.t) =
+  Schedule.to_list s = o.sends && Float.equal s.Schedule.makespan o.makespan
+
+let prop_ir_matches_oracle =
+  QCheck.Test.make ~name:"columnar IR matches the list oracle row for row" ~count:300
+    QCheck.(make Gen.(quad rows_gen rows_gen (list_size (int_bound 5) rows_gen) offset_gen))
+    (fun (a, b, parts, dt) ->
+      let sa = Schedule.of_sends a and oa = List_schedule.make a in
+      let sb = Schedule.of_sends b and ob = List_schedule.make b in
+      let pushed =
+        let bld = Schedule.Builder.create () in
+        List.iter
+          (fun (r : Schedule.send) ->
+            Schedule.Builder.push bld ~chunk:r.chunk ~edge:r.edge ~src:r.src ~dst:r.dst
+              ~start:r.start ~finish:r.finish)
+          a;
+        Schedule.Builder.build bld
+      in
+      agrees sa oa
+      && agrees pushed (List_schedule.make (List.rev a))
+      && agrees (Schedule.shift sa dt) (List_schedule.shift oa dt)
+      && agrees (Schedule.reverse sa) (List_schedule.reverse oa)
+      && agrees (Schedule.concat sa sb) (List_schedule.concat oa ob)
+      && agrees (Schedule.union sa sb) (List_schedule.union oa ob)
+      (* Plan's k-way merge is a stable sort of the concatenation. *)
+      && agrees
+           (Schedule.merge (List.map (fun p -> Schedule.shift (Schedule.of_sends p) dt) parts))
+           (List_schedule.make
+              (List.concat_map (fun p -> (List_schedule.shift (List_schedule.make p) dt).sends) parts)))
+
+let prop_validators_match_oracle =
+  QCheck.Test.make ~name:"columnar validator gives the list oracle's verdicts" ~count:300
+    QCheck.(make Gen.(pair rows_gen offset_gen))
+    (fun (rows, dt) ->
+      let spec = Spec.make ~pattern:Pattern.All_gather ~npus:4 () in
+      let verdict ?forbidden ~precondition s o =
+        let args validate =
+          validate ~precondition ~postcondition:(Spec.postcondition spec) ~num_chunks:4
+            ~chunk_size:1.
+        in
+        args (Schedule.validate_positioned oracle_ring ?forbidden) s
+        = args (List_schedule.validate_positioned oracle_ring ?forbidden) o
+      in
+      let s = Schedule.shift (Schedule.of_sends rows) dt in
+      let o = List_schedule.shift (List_schedule.make rows) dt in
+      verdict ~precondition:(Spec.precondition spec) s o
+      && verdict ~precondition:(Spec.postcondition spec) s o
+      && verdict ~forbidden:[ (0, 1.); (3, 0.) ] ~precondition:(Spec.precondition spec) s o)
 
 let prop_engine_conserves_bytes =
   (* Every transfer's bytes appear on exactly hop-count links. *)
@@ -155,6 +230,8 @@ let () =
             prop_reverse_involutive;
             prop_concat_additive;
             prop_json_roundtrip;
+            prop_ir_matches_oracle;
+            prop_validators_match_oracle;
             prop_engine_conserves_bytes;
             prop_blocking_alpha_never_faster;
             prop_ag_sends_lower_bound;

@@ -47,7 +47,7 @@ let test_utilization () =
 
 let fig7_schedule topo =
   let link s d = (List.hd (Topology.find_links topo ~src:s ~dst:d)).Topology.id in
-  Schedule.make
+  Schedule.of_sends
     [
       { Schedule.chunk = 0; edge = link 0 1; src = 0; dst = 1; start = 0.; finish = 1. };
       { Schedule.chunk = 1; edge = link 1 2; src = 1; dst = 2; start = 0.; finish = 1. };
@@ -76,7 +76,7 @@ let test_of_schedule_rejects_misaligned () =
   let topo = ring3 () in
   let link s d = (List.hd (Topology.find_links topo ~src:s ~dst:d)).Topology.id in
   let sched =
-    Schedule.make
+    Schedule.of_sends
       [
         { Schedule.chunk = 0; edge = link 0 1; src = 0; dst = 1; start = 0.5; finish = 1.5 };
       ]
